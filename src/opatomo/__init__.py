@@ -8,139 +8,3 @@ several estimators (direct inversion with and without displacement, a
 two-displacement unfolding for unknown offsets, and a homodyne reference),
 and distills sub-shot-noise variance estimates from the histograms.
 """
-
-from .chain import (
-    BATCH_CHUNK,
-    ChainParams,
-    ConfigError,
-    HomodyneDetector,
-    IntensityDetector,
-    ShotBatch,
-    run_batch,
-)
-from .distill import (
-    DistillError,
-    NonPositiveApex,
-    NotConcave,
-    OutOfRange,
-    ParabolaFit,
-    distillable_variance,
-    find_local_maxima,
-    fit_parabola,
-    loss_corrected_variance,
-    select_peak,
-)
-from .experiments import (
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    homodyne_comparison,
-    robustness_sweep,
-    saturation_gain,
-    squeezing_table,
-    sweep_displacement,
-    sweep_gain,
-)
-from .hist import (
-    DensityEstimate,
-    QuadratureHistogram,
-    analytic_bins,
-    analytic_point_density,
-    bin_values,
-    fidelity,
-    fidelity_from_masses,
-)
-from .nnls import NnlsResult, SingularSystem, solve_ls, solve_nnls
-from .reconstruct import (
-    DegenerateSupport,
-    InconsistentBinning,
-    PositivityViolation,
-    ReconConfig,
-    build_fold_matrices,
-    displaced_reconstruct,
-    double_displacement_reconstruct,
-    fold_displacement,
-    homodyne_reconstruct,
-    invert_homodyne,
-    invert_intensity,
-    near_zero_fraction,
-    noise_equivalent_std,
-    standard_reconstruct,
-    support_positivity_check,
-    unfold_fold_samples,
-)
-from .states import (
-    VACUUM_VARIANCE,
-    GaussianComponent,
-    SourceState,
-    gaussian_1d,
-    hermite_functions,
-    preset,
-    preset_names,
-)
-from .streams import derive_seed, stream
-
-__all__ = [
-    "BATCH_CHUNK",
-    "ChainParams",
-    "ConfigError",
-    "DegenerateSupport",
-    "DensityEstimate",
-    "DistillError",
-    "GaussianComponent",
-    "HomodyneDetector",
-    "InconsistentBinning",
-    "IntensityDetector",
-    "NnlsResult",
-    "NonPositiveApex",
-    "NotConcave",
-    "OutOfRange",
-    "ParabolaFit",
-    "PositivityViolation",
-    "QuadratureHistogram",
-    "ReconConfig",
-    "ShotBatch",
-    "SingularSystem",
-    "SourceState",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "VACUUM_VARIANCE",
-    "analytic_bins",
-    "analytic_point_density",
-    "bin_values",
-    "build_fold_matrices",
-    "derive_seed",
-    "displaced_reconstruct",
-    "distillable_variance",
-    "double_displacement_reconstruct",
-    "fidelity",
-    "fidelity_from_masses",
-    "find_local_maxima",
-    "fit_parabola",
-    "fold_displacement",
-    "gaussian_1d",
-    "hermite_functions",
-    "homodyne_comparison",
-    "homodyne_reconstruct",
-    "invert_homodyne",
-    "invert_intensity",
-    "loss_corrected_variance",
-    "near_zero_fraction",
-    "noise_equivalent_std",
-    "preset",
-    "preset_names",
-    "robustness_sweep",
-    "run_batch",
-    "saturation_gain",
-    "select_peak",
-    "solve_ls",
-    "solve_nnls",
-    "squeezing_table",
-    "standard_reconstruct",
-    "stream",
-    "support_positivity_check",
-    "sweep_displacement",
-    "sweep_gain",
-    "unfold_fold_samples",
-]

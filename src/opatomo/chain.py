@@ -18,7 +18,7 @@ shot function is fixed and documented so batches are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import json
 import math
 
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # Shots are partitioned into fixed-size chunks, each with its own sub-stream,
-# so any execution order (serial or parallel) reproduces the same outcomes.
+# so the chunk size, not the batch size, fixes which draws a shot receives.
 BATCH_CHUNK = 1 << 14
 
 # Lower clip for the per-shot output transmittance; the interval is open at 0.
@@ -118,9 +118,6 @@ class ChainParams:
                      "output_transmittance", "output_transmittance_jitter", "output_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(name, "must be finite")
-
-    def with_displacement(self, d: float) -> "ChainParams":
-        return replace(self, displacement=d)
 
     def chain_key(self) -> tuple:
         """Everything except the displacement; used to pair batches."""
@@ -279,28 +276,19 @@ def run_batch(
     params: ChainParams,
     n_shots: int,
     seed: int,
-    workers: int = 1,
 ) -> ShotBatch:
-    """Simulate n_shots outcomes; identical results for any worker count.
+    """Simulate n_shots outcomes.
 
     The batch is split into BATCH_CHUNK-sized chunks, each seeded as
-    sub-stream (seed, chunk_index), so the partitioning, not the execution
-    order, determines every draw.
+    sub-stream (seed, chunk_index), so the partitioning determines every
+    draw.
     """
     if n_shots <= 0:
         raise ConfigError("n_shots", f"must be positive (got {n_shots})")
     counts = [BATCH_CHUNK] * (n_shots // BATCH_CHUNK)
     if n_shots % BATCH_CHUNK:
         counts.append(n_shots % BATCH_CHUNK)
-    if workers > 1 and len(counts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda i: _chunk(state, params, seed, i, counts[i]), range(len(counts))
-            ))
-    else:
-        parts = [_chunk(state, params, seed, i, c) for i, c in enumerate(counts)]
+    parts = [_chunk(state, params, seed, i, c) for i, c in enumerate(counts)]
     return ShotBatch(
         outcomes=np.concatenate(parts),
         params=params,

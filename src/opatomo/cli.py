@@ -120,12 +120,6 @@ class RunConfig:
         payload["params"] = self.params.to_dict()
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        payload = json.loads(text)
-        params = ChainParams.from_dict(payload.pop("params"))
-        return RunConfig(params=params, **payload)
-
 
 def _apply_assignment(config: RunConfig, key: str, raw: str) -> None:
     """Apply one ``key=value`` assignment from a config file or --set."""
@@ -205,6 +199,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _finalize(_load_config(args.config, args.set or []), args)
     cfg = ReconConfig(method=config.method, bin_width=config.bin_width)
     batch = ShotBatch.from_csv(args.batch)
+    if batch.state_label not in PRESETS:
+        raise ConfigError(
+            "state",
+            f"batch header names unknown preset {batch.state_label!r}; see `opatomo presets`",
+        )
     state = preset(batch.state_label)
 
     if config.method == "double":

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainParams, HomodyneDetector, IntensityDetector, run_batch
-from .distill import distillable_variance, fit_parabola, loss_corrected_variance, select_peak
+from .distill import (
+    DistillError,
+    distillable_variance,
+    fit_parabola,
+    loss_corrected_variance,
+    select_peak,
+)
 from .hist import analytic_point_density, fidelity
 from .reconstruct import (
     ReconConfig,
@@ -457,7 +463,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
                 try:
                     fit = fit_parabola(hist, select_peak(hist, window=3), m)
                     v = distillable_variance(fit)
-                except Exception:
+                except DistillError:
                     failures += 1
                     continue
                 v_raw.append(v)

@@ -1,4 +1,4 @@
-"""Dense least-squares and non-negative least-squares solvers.
+"""Dense non-negative least-squares solver.
 
 The unfolding step of the two-displacement estimator produces small, dense,
 well-structured systems (a few hundred unknowns at most).  An exact
@@ -16,23 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SingularSystem",
     "NnlsResult",
-    "solve_ls",
     "solve_nnls",
 ]
 
 # Relative KKT tolerance: a coordinate counts as optimal when its gradient
 # component is within this factor of the largest entry of M^T b.
 KKT_RTOL = 1e-8
-
-# Diagonal regularization factor for the normal equations, relative to the
-# trace of M^T M.
-LS_REG_RTOL = 1e-12
-
-
-class SingularSystem(ValueError):
-    """The (regularized) least-squares system is rank-deficient."""
 
 
 @dataclass(frozen=True)
@@ -65,33 +55,6 @@ def _validate_system(matrix, rhs) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(m)) or not np.all(np.isfinite(b)):
         raise ValueError("matrix and rhs entries must be finite")
     return m, b
-
-
-def solve_ls(matrix, rhs) -> tuple[np.ndarray, float]:
-    """Unconstrained least squares: minimize ||M x - b||.
-
-    Solves the normal equations with a small diagonal regularization
-    (``LS_REG_RTOL`` times the trace of ``M^T M``), which handles both
-    over- and under-determined shapes.  Returns ``(x, residual_norm)``.
-
-    Raises SingularSystem when the regularized system is still effectively
-    rank-deficient (e.g. an all-zero matrix).
-    """
-    m, b = _validate_system(matrix, rhs)
-    gram = m.T @ m
-    trace = float(np.trace(gram))
-    if trace <= 0.0:
-        raise SingularSystem("matrix has zero norm; system is singular")
-    reg = LS_REG_RTOL * trace
-    gram[np.diag_indices_from(gram)] += reg
-    try:
-        x = np.linalg.solve(gram, m.T @ b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("solution is not finite")
-    residual = float(np.linalg.norm(m @ x - b))
-    return x, residual
 
 
 def solve_nnls(matrix, rhs, max_iter: int | None = None) -> NnlsResult:

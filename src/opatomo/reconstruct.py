@@ -20,7 +20,7 @@ fluctuations are physical noise the estimator cannot observe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "invert_homodyne",
     "standard_reconstruct",
     "displaced_reconstruct",
-    "support_positivity_check",
     "near_zero_fraction",
     "build_fold_matrices",
     "unfold_fold_samples",
@@ -75,7 +74,7 @@ class PositivityViolation(RuntimeError):
         )
 
 
-class DegenerateSupport(RuntimeError):
+class DegenerateSupport(ValueError):
     """The folded samples carry no usable support beyond the origin bin."""
 
 
@@ -90,7 +89,6 @@ class ReconConfig:
 
     ``near_zero_cut`` is in quadrature units at the fold; ``None`` means
     "derive from the chain noise" via ``noise_equivalent_std``.
-    ``displacement_pair`` is only consumed by the two-displacement route.
     """
 
     method: str = "displaced"
@@ -99,7 +97,6 @@ class ReconConfig:
     hi: float = 6.0
     positivity_threshold: float = 0.005
     near_zero_cut: float | None = None
-    displacement_pair: tuple[float, float] | None = None
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -165,21 +162,6 @@ def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     )
     i_x = np.asarray(outcomes, dtype=float)
     return i_x / denom - fold_displacement(params)
-
-
-def support_positivity_check(fold_values, cfg: ReconConfig, cut: float | None = None) -> bool:
-    """True when at most ``positivity_threshold`` of the mass sits within
-    ``cut`` of the fold point.  ``fold_values`` are fold coordinates, i.e.
-    the quadrature estimates *before* the displacement is subtracted."""
-    if cut is None:
-        cut = cfg.near_zero_cut
-    if cut is None:
-        raise ValueError("no near-zero cut available; set cfg.near_zero_cut or pass cut")
-    values = np.asarray(fold_values, dtype=float)
-    if values.size == 0:
-        return True
-    fraction = float(np.mean(values < cut))
-    return fraction <= cfg.positivity_threshold
 
 
 def near_zero_fraction(batch: ShotBatch, cfg: ReconConfig) -> float:

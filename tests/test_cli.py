@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from opatomo.chain import ChainParams
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, main
 
 
@@ -153,6 +152,34 @@ def test_reconstruct_double_end_to_end(capsys, tmp_path):
     assert report["diag_nnls_converged"] is True
 
 
+def test_reconstruct_unknown_batch_state_exits_with_config_error(capsys, tmp_path):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "100")
+    with open(batch) as fh:
+        header, rest = fh.readline(), fh.read()
+    meta = json.loads(header[2:])
+    meta["state"] = "squeezed"
+    with open(batch, "w") as fh:
+        fh.write("# " + json.dumps(meta) + "\n" + rest)
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", batch,
+                           "--method", "displaced", "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: state:")
+    assert "squeezed" in err
+
+
+def test_reconstruct_double_sparse_batches_exit_with_config_error(capsys, tmp_path):
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "1", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "1", "--seed", "1")
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first,
+                           "--batch2", second, "--method", "double",
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "dependable count" in err
+
+
 def test_reconstruct_missing_batch_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "reconstruct", "--batch",
                            str(tmp_path / "nothere.csv"), "--out-dir", str(tmp_path))
@@ -196,12 +223,6 @@ def test_squeeze_reports_table(capsys, tmp_path):
     payload = json.loads(out)
     assert "v_d" in payload["summary"]
     assert "analytic" in payload["summary"]["v_d"]["3"]
-
-
-def test_runconfig_json_round_trip():
-    config = RunConfig(state="mix", seed=5, params=ChainParams(displacement=3.0))
-    clone = RunConfig.from_json(config.to_json())
-    assert clone == config
 
 
 def test_runconfig_validation_names_offending_field():

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from opatomo import experiments
 from opatomo.chain import ChainParams
+from opatomo.distill import NotConcave
 from opatomo.experiments import (
     GAIN_SWEEP_FOLD_D,
     SweepRow,
@@ -18,6 +20,7 @@ from opatomo.experiments import (
     sweep_displacement,
     sweep_gain,
 )
+from opatomo.hist import QuadratureHistogram
 from opatomo.reconstruct import fold_displacement
 
 
@@ -248,3 +251,34 @@ def test_squeezing_table_analytic_row_and_summary():
     assert set(table) == {"alpha_in=0.95", "alpha_in=1", "analytic"}
     mc = [r for r in result.rows if r.method == "alpha_in=1"]
     assert mc and (math.isnan(mc[0].mean_infidelity) or mc[0].mean_infidelity > 0.0)
+
+
+def _squeezing_spec_with_failing_fit(monkeypatch, error):
+    """A small squeezing spec whose Monte Carlo fits raise ``error``; the
+    analytic reference still gets the real fit."""
+    real_fit = experiments.fit_parabola
+
+    def fit(hist, center_bin, m):
+        if isinstance(hist, QuadratureHistogram):
+            raise error
+        return real_fit(hist, center_bin, m)
+
+    monkeypatch.setattr(experiments, "fit_parabola", fit)
+    return small_spec(
+        experiment="squeezing", param="m", methods=("displaced",), grid=(3.0,),
+        params=ChainParams(displacement=100.0), n_shots=3_000, repeats=2,
+    )
+
+
+def test_squeezing_table_counts_distill_errors_as_fit_failures(monkeypatch):
+    spec = _squeezing_spec_with_failing_fit(monkeypatch, NotConcave("flat peak"))
+    result = squeezing_table(spec)
+    mc = [r for r in result.rows if r.method.startswith("alpha_in=")]
+    assert mc and all(r.aux["fit_failures"] == spec.repeats for r in mc)
+    assert all(math.isnan(r.mean_infidelity) for r in mc)
+
+
+def test_squeezing_table_propagates_other_fit_errors(monkeypatch):
+    spec = _squeezing_spec_with_failing_fit(monkeypatch, RuntimeError("not a fit failure"))
+    with pytest.raises(RuntimeError, match="not a fit failure"):
+        squeezing_table(spec)

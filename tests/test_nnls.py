@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opatomo.nnls import KKT_RTOL, NnlsResult, SingularSystem, solve_ls, solve_nnls
-
-
-def gradient_descent_ls(m: np.ndarray, b: np.ndarray, iters: int = 5000) -> np.ndarray:
-    """Brute-force oracle: steepest descent with exact line search."""
-    x = np.zeros(m.shape[1])
-    for _ in range(iters):
-        g = m.T @ (m @ x - b)
-        denom = float(g @ (m.T @ (m @ g)))
-        if denom <= 1e-300:
-            break
-        x -= (float(g @ g) / denom) * g
-    return x
+from opatomo.nnls import KKT_RTOL, NnlsResult, solve_nnls
 
 
 def enumerate_nnls(m: np.ndarray, b: np.ndarray) -> float:
@@ -32,45 +20,6 @@ def enumerate_nnls(m: np.ndarray, b: np.ndarray) -> float:
                 x[cols] = np.clip(sol, 0.0, None)
                 best = min(best, float(np.linalg.norm(m @ x - b)))
     return best
-
-
-# -- solve_ls ------------------------------------------------------------------
-
-def test_ls_identity():
-    x, res = solve_ls(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(x, [1, 2, 3], atol=1e-9)
-    assert res == pytest.approx(0.0, abs=1e-9)
-
-
-def test_ls_overdetermined_mean():
-    x, res = solve_ls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
-    assert x[0] == pytest.approx(2.0, abs=1e-10)
-    assert res == pytest.approx(np.sqrt(2.0), rel=1e-9)
-
-
-def test_ls_matches_gradient_descent_oracle():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        m = rng.normal(size=(6, 4))
-        b = rng.normal(size=6)
-        x, _ = solve_ls(m, b)
-        oracle = gradient_descent_ls(m, b)
-        assert np.linalg.norm(m @ x - b) == pytest.approx(
-            np.linalg.norm(m @ oracle - b), abs=1e-8
-        )
-        assert np.allclose(x, oracle, atol=1e-6)
-
-
-def test_ls_singular_zero_matrix():
-    with pytest.raises(SingularSystem):
-        solve_ls(np.zeros((3, 2)), np.ones(3))
-
-
-def test_ls_underdetermined_is_solved():
-    m = np.array([[1.0, 1.0]])
-    x, res = solve_ls(m, np.array([2.0]))
-    assert res == pytest.approx(0.0, abs=1e-6)
-    assert np.isfinite(x).all()
 
 
 # -- input validation ------------------------------------------------------------
@@ -90,7 +39,7 @@ def test_validation_rejects_non_finite():
     with pytest.raises(ValueError):
         solve_nnls(m, np.ones(2))
     with pytest.raises(ValueError):
-        solve_ls(np.ones((2, 2)), np.array([1.0, np.inf]))
+        solve_nnls(np.ones((2, 2)), np.array([1.0, np.inf]))
 
 
 # -- solve_nnls ------------------------------------------------------------------
@@ -151,7 +100,7 @@ def test_nnls_never_beaten_by_clipped_ls():
         m = rng.normal(size=(7, 4))
         b = rng.normal(size=7)
         result = solve_nnls(m, b)
-        x_ls, _ = solve_ls(m, b)
+        x_ls = np.linalg.lstsq(m, b, rcond=None)[0]
         clipped = np.clip(x_ls, 0.0, None)
         assert result.residual <= float(np.linalg.norm(m @ clipped - b)) + 1e-12
 

@@ -22,7 +22,6 @@ from opatomo.reconstruct import (
     noise_equivalent_std,
     resolved_near_zero_cut,
     standard_reconstruct,
-    support_positivity_check,
     unfold_fold_samples,
 )
 from opatomo.states import SourceState, gaussian_1d, preset
@@ -133,17 +132,6 @@ def test_resolved_near_zero_cut():
         0.40329709503271144, rel=1e-12
     )
     assert resolved_near_zero_cut(ReconConfig(near_zero_cut=0.2), ChainParams()) == 0.2
-
-
-def test_support_positivity_check_basics():
-    cfg = ReconConfig(near_zero_cut=0.5, positivity_threshold=0.25)
-    assert support_positivity_check([1.0, 2.0, 3.0], cfg)
-    assert not support_positivity_check([0.1, 0.2, 0.3, 4.0], cfg)
-    # exactly at the threshold counts as acceptable
-    assert support_positivity_check([0.1, 1.0, 1.0, 1.0], cfg)
-    assert support_positivity_check([], cfg)
-    with pytest.raises(ValueError):
-        support_positivity_check([1.0], ReconConfig())
 
 
 def test_displaced_passes_positivity_far_from_fold():
