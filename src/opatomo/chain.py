@@ -256,10 +256,18 @@ class ShotBatch:
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
             outcomes = np.array([float(line) for line in fh if line.strip()])
+        n_shots = int(meta["n_shots"])
+        if n_shots < 1 or outcomes.size != n_shots:
+            raise ValueError(
+                f"{path}: header says n_shots = {n_shots} but the file holds "
+                f"{outcomes.size} outcomes"
+            )
+        if not np.isfinite(outcomes).all():
+            raise ValueError(f"{path}: outcomes must be finite")
         return ShotBatch(
             outcomes=outcomes,
             params=ChainParams.from_dict(meta["chain"]),
-            n_shots=int(meta["n_shots"]),
+            n_shots=n_shots,
             seed=int(meta["seed"]),
             state_label=meta.get("state", ""),
         )

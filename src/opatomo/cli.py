@@ -29,6 +29,7 @@ from .chain import (
 from .experiments import (
     DEFAULT_DISPLACEMENT_GRID,
     DEFAULT_GAIN_GRID,
+    SQUEEZING_TABLE_M,
     SweepSpec,
     homodyne_comparison,
     robustness_sweep,
@@ -38,8 +39,8 @@ from .experiments import (
 )
 from .hist import fidelity
 from .reconstruct import (
+    METHODS,
     PositivityViolation,
-    ReconConfig,
     displaced_reconstruct,
     double_displacement_reconstruct,
     homodyne_reconstruct,
@@ -102,7 +103,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.state not in PRESETS:
             raise ConfigError("state", f"unknown preset {self.state!r}; see `opatomo presets`")
-        if self.method not in ("standard", "displaced", "double", "homodyne"):
+        if self.method not in METHODS:
             raise ConfigError("method", f"unknown method {self.method!r}")
         if self.detector not in ("intensity", "homodyne"):
             raise ConfigError("detector", f"unknown detector {self.detector!r}")
@@ -113,16 +114,17 @@ class RunConfig:
         self.params.validate()
 
     def to_json(self) -> str:
-        payload = {
-            k: getattr(self, k)
-            for k in ("state", "method", "detector", "n_shots", "bin_width", "seed", "out_dir")
-        }
+        payload = {k: getattr(self, k) for k in _RUN_FIELDS}
         payload["params"] = self.params.to_dict()
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _apply_assignment(config: RunConfig, key: str, raw: str) -> None:
-    """Apply one ``key=value`` assignment from a config file or --set."""
+def _apply_assignment(config: RunConfig, item: str, where: str) -> None:
+    """Apply one ``key=value`` line of a config file or one --set value;
+    ``where`` names it in errors."""
+    if "=" not in item:
+        raise ConfigError(where, "expected key=value")
+    key, raw = (part.strip() for part in item.split("=", 1))
     if key in _RUN_FIELDS:
         setattr(config, key, _RUN_FIELDS[key](raw))
     elif key in _CHAIN_FIELDS:
@@ -144,23 +146,16 @@ def _load_config(path: str | None, assignments: list[str]) -> RunConfig:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}", "expected key=value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                _apply_assignment(config, key, raw)
+                if line:
+                    _apply_assignment(config, line, f"{path}:{lineno}")
     for item in assignments:
-        if "=" not in item:
-            raise ConfigError(item, "expected key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        _apply_assignment(config, key, raw)
+        _apply_assignment(config, item, item)
     return config
 
 
 def _finalize(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Fold command-line flags (highest precedence) into the config."""
-    for key in ("state", "method", "detector", "n_shots", "bin_width", "seed", "out_dir"):
+    for key in _RUN_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
@@ -196,8 +191,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    for key in ("state", "detector", *_CHAIN_FIELDS):
+        if getattr(args, key) is not None:
+            raise ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
     config = _finalize(_load_config(args.config, args.set or []), args)
-    cfg = ReconConfig(method=config.method, bin_width=config.bin_width)
     batch = ShotBatch.from_csv(args.batch)
     if batch.state_label not in PRESETS:
         raise ConfigError(
@@ -210,16 +207,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if not args.batch2:
             raise ConfigError("batch2", "the two-displacement method needs two batches")
         batch2 = ShotBatch.from_csv(args.batch2)
-        estimate, diag = double_displacement_reconstruct(batch, batch2, cfg)
+        estimate, diag = double_displacement_reconstruct(batch, batch2, config.bin_width)
         f = fidelity(estimate, state)
         n = batch.n_shots + batch2.n_shots
     else:
         if config.method == "standard":
-            hist = standard_reconstruct(batch, cfg)
+            hist = standard_reconstruct(batch, config.bin_width)
         elif config.method == "displaced":
-            hist = displaced_reconstruct(batch, cfg)
+            hist = displaced_reconstruct(batch, config.bin_width)
         else:
-            hist = homodyne_reconstruct(batch, cfg)
+            hist = homodyne_reconstruct(batch, config.bin_width)
         estimate, diag = hist, {}
         f = fidelity(hist, state)
         n = batch.n_shots
@@ -248,68 +245,52 @@ def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ..
     return tuple(float(part) for part in text.split(","))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _finalize(_load_config(args.config, args.set or []), args)
-    methods = tuple((args.methods or "standard,displaced").split(","))
-    kind = args.kind
-    if kind == "displacement":
-        spec = SweepSpec(
-            "displacement", config.state, methods, "displacement",
-            _parse_grid(args.grid, DEFAULT_DISPLACEMENT_GRID), params=config.params,
-            bin_width=config.bin_width, n_shots=config.n_shots,
-            repeats=args.repeats, seed=config.seed,
-        )
-        result = sweep_displacement(spec)
-    elif kind == "gain":
-        spec = SweepSpec(
-            "gain", config.state, methods, "gain",
-            _parse_grid(args.grid, DEFAULT_GAIN_GRID), params=config.params,
-            bin_width=config.bin_width, n_shots=config.n_shots,
-            repeats=args.repeats, seed=config.seed,
-        )
-        result = sweep_gain(spec)
-    elif kind == "robustness":
-        if not args.param or not args.grid:
-            raise ConfigError("param/grid", "robustness sweeps need --param and --grid")
-        spec = SweepSpec(
-            "robustness", config.state, methods, args.param,
-            _parse_grid(args.grid, ()), params=config.params,
-            bin_width=config.bin_width, n_shots=config.n_shots,
-            repeats=args.repeats, seed=config.seed,
-        )
-        result = robustness_sweep(spec)
-    elif kind in ("homodyne-d", "homodyne-gain"):
-        param = "displacement" if kind == "homodyne-d" else "gain"
-        default = DEFAULT_DISPLACEMENT_GRID if param == "displacement" else DEFAULT_GAIN_GRID
-        spec = SweepSpec(
-            kind.replace("-", "_"), config.state, methods, param,
-            _parse_grid(args.grid, default), params=config.params,
-            bin_width=config.bin_width, n_shots=config.n_shots,
-            repeats=args.repeats, seed=config.seed,
-        )
-        result = homodyne_comparison(spec)
-    else:
-        raise ConfigError("kind", f"unknown sweep kind {kind!r}")
+# Sweep kind -> (sweep function name, swept field, default grid); robustness
+# sweeps take both from --param and --grid.  The function is looked up by name
+# when the command runs, so a wrapper put on this module's binding (a
+# profiler, say) sees the call.
+_SWEEP_KINDS = {
+    "displacement": ("sweep_displacement", "displacement", DEFAULT_DISPLACEMENT_GRID),
+    "gain": ("sweep_gain", "gain", DEFAULT_GAIN_GRID),
+    "robustness": ("robustness_sweep", None, ()),
+    "homodyne-d": ("homodyne_comparison", "displacement", DEFAULT_DISPLACEMENT_GRID),
+    "homodyne-gain": ("homodyne_comparison", "gain", DEFAULT_GAIN_GRID),
+}
 
-    csv_path, json_path = result.to_csv(config.out_dir)
+
+def _run_sweep(run, config: RunConfig, repeats: int, experiment: str,
+               methods: tuple[str, ...], param: str, grid: tuple[float, ...]) -> int:
+    """Run one sweep at the config's state, chain and scale; write its files."""
+    spec = SweepSpec(
+        experiment, config.state, methods, param, grid, params=config.params,
+        bin_width=config.bin_width, n_shots=config.n_shots,
+        repeats=repeats, seed=config.seed,
+    )
+    result = run(spec)
+    csv_path, _ = result.to_csv(config.out_dir)
     print(json.dumps({"csv": csv_path, "summary": result.summary}, sort_keys=True))
     return EXIT_OK
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = _finalize(_load_config(args.config, args.set or []), args)
+    name, param, default = _SWEEP_KINDS[args.kind]
+    if param is None:
+        if not args.param or not args.grid:
+            raise ConfigError("param/grid", "robustness sweeps need --param and --grid")
+        param = args.param
+    methods = tuple((args.methods or "standard,displaced").split(","))
+    return _run_sweep(globals()[name], config, args.repeats, args.kind.replace("-", "_"),
+                      methods, param, _parse_grid(args.grid, default))
 
 
 def cmd_squeeze(args: argparse.Namespace) -> int:
     config = _finalize(_load_config(args.config, args.set or []), args)
     if config.params.displacement == 0.0:
         config.params = dataclasses.replace(config.params, displacement=100.0)
-    m_grid = tuple(float(m) for m in (args.m or "3,5,7,9,11").split(","))
-    spec = SweepSpec(
-        "squeezing", config.state, ("displaced",), "m", m_grid, params=config.params,
-        bin_width=config.bin_width, n_shots=config.n_shots,
-        repeats=args.repeats, seed=config.seed,
-    )
-    result = squeezing_table(spec)
-    csv_path, json_path = result.to_csv(config.out_dir)
-    print(json.dumps({"csv": csv_path, "summary": result.summary}, sort_keys=True))
-    return EXIT_OK
+    m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M))
+    return _run_sweep(squeezing_table, config, args.repeats, "squeezing", ("displaced",), "m",
+                      m_grid)
 
 
 def cmd_presets(_args: argparse.Namespace) -> int:
@@ -354,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep experiment")
     _add_common(p)
-    p.add_argument("--kind", required=True,
-                   choices=("displacement", "gain", "robustness", "homodyne-d", "homodyne-gain"))
+    p.add_argument("--kind", required=True, choices=tuple(_SWEEP_KINDS))
     p.add_argument("--param", help="swept chain field (robustness sweeps)")
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--methods", help="comma-separated method list")

@@ -3,8 +3,10 @@
 Every sweep is a pure function of a ``SweepSpec``: the master seed derives
 one sub-seed per repeat, and those repeat seeds are shared across grid
 points and estimation methods, so method comparisons are paired rather
-than independent.  Results serialize to one CSV plus one JSON summary,
-named ``<experiment>_<state>_<hash>``, where the hash digests the spec.
+than independent; a (chain setting, method) pair that recurs in a sweep is
+evaluated once.  Each sweep lists its points and hands them to one engine,
+``_sweep``.  Results serialize to one CSV plus one JSON summary, named
+``<experiment>_<state>_<hash>``, where the hash digests the spec.
 
 Swept displacement and gain values refer to the chain's displacement d
 (amplified-quadrature units) and gain exponent G.  Gain sweeps keep the
@@ -33,7 +35,7 @@ from .distill import (
 )
 from .hist import analytic_point_density, fidelity
 from .reconstruct import (
-    ReconConfig,
+    POSITIVITY_THRESHOLD,
     displaced_reconstruct,
     homodyne_reconstruct,
     near_zero_fraction,
@@ -106,6 +108,8 @@ class SweepSpec:
             raise ValueError("repeats must be at least 1")
         if self.n_shots < 1:
             raise ValueError("n_shots must be at least 1")
+        if not (self.bin_width > 0.0):
+            raise ValueError("bin_width must be positive")
         preset(self.state)  # raises on unknown preset
         self.params.validate()
 
@@ -189,7 +193,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _point_infidelity(
-    state, params: ChainParams, cfg: ReconConfig, method: str, n: int, seeds: list[int]
+    state, params: ChainParams, bin_width: float, method: str, n: int, seeds: list[int]
 ) -> tuple[float, float, dict]:
     """Mean/std of 1-F over the repeat seeds for one (grid point, method)."""
     infs: list[float] = []
@@ -197,12 +201,12 @@ def _point_infidelity(
     for s in seeds:
         batch = run_batch(state, params, n, s)
         if method == "standard":
-            hist = standard_reconstruct(batch, cfg)
+            hist = standard_reconstruct(batch, bin_width)
         elif method == "displaced":
-            hist = displaced_reconstruct(batch, cfg, enforce_positivity=False)
-            fractions.append(near_zero_fraction(batch, cfg))
+            hist = displaced_reconstruct(batch, bin_width, enforce_positivity=False)
+            fractions.append(near_zero_fraction(batch))
         elif method == "homodyne":
-            hist = homodyne_reconstruct(batch, cfg)
+            hist = homodyne_reconstruct(batch, bin_width)
         else:
             raise ValueError(f"unknown method {method!r}")
         infs.append(1.0 - fidelity(hist, state))
@@ -211,40 +215,45 @@ def _point_infidelity(
     if fractions:
         frac = float(np.mean(fractions))
         aux["near_zero_fraction"] = frac
-        aux["positivity_ok"] = frac <= cfg.positivity_threshold
+        aux["positivity_ok"] = frac <= POSITIVITY_THRESHOLD
     return mean, std, aux
+
+
+def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
+    """One row per ``(value, label, params, method, extra_aux)`` point.
+
+    The spec is validated before the first point is drawn.  Every point
+    shares the spec's repeat seeds, so a ``(params, method)`` pair that
+    recurs on the grid (the standard estimator's d = 0 reference, say) is
+    evaluated once and its result reused.
+    """
+    spec.validate()
+    state = preset(spec.state)
+    seeds = _repeat_seeds(spec)
+    evaluated: dict = {}
+    rows: list[SweepRow] = []
+    for value, label, params, method, extra in points:
+        if (params, method) not in evaluated:
+            evaluated[params, method] = _point_infidelity(
+                state, params, spec.bin_width, method, spec.n_shots, seeds
+            )
+        mean, std, aux = evaluated[params, method]
+        rows.append(SweepRow(float(value), label, mean, std, {**aux, **extra}))
+    return rows
 
 
 def sweep_displacement(spec: SweepSpec) -> SweepResult:
     """Infidelity as a function of the applied displacement.
 
     The displaced estimator runs at every grid value; the standard
-    estimator has no displacement knob, so it runs once at d = 0 and its
+    estimator has no displacement knob, so it runs at d = 0 and its
     (mean, std) row is replicated across the grid as a flat reference.
     """
-    spec.validate()
-    state = preset(spec.state)
-    cfg = ReconConfig(bin_width=spec.bin_width)
-    seeds = _repeat_seeds(spec)
-    rows: list[SweepRow] = []
-
-    flat: dict[str, tuple[float, float, dict]] = {}
-    if "standard" in spec.methods:
-        flat["standard"] = _point_infidelity(
-            state, replace(spec.params, displacement=0.0), cfg, "standard", spec.n_shots, seeds
-        )
-
-    for d in spec.grid:
-        for method in spec.methods:
-            if method in flat:
-                mean, std, aux = flat[method]
-            else:
-                params = replace(spec.params, displacement=float(d))
-                mean, std, aux = _point_infidelity(
-                    state, params, cfg, method, spec.n_shots, seeds
-                )
-            rows.append(SweepRow(float(d), method, mean, std, aux))
-
+    rows = _sweep(spec, (
+        (d, m, replace(spec.params, displacement=0.0 if m == "standard" else float(d)), m, {})
+        for d in spec.grid
+        for m in spec.methods
+    ))
     summary: dict = {}
     disp = [r for r in rows if r.method == "displaced"]
     if disp:
@@ -256,9 +265,10 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
         summary["plateau_std"] = best.std_infidelity
         summary["plateau_lo"] = min(plateau)
         summary["plateau_hi"] = max(plateau)
-    if "standard" in flat:
-        summary["standard_reference"] = flat["standard"][0]
-        summary["standard_reference_std"] = flat["standard"][1]
+    standard = [r for r in rows if r.method == "standard"]
+    if standard:
+        summary["standard_reference"] = standard[0].mean_infidelity
+        summary["standard_reference_std"] = standard[0].std_infidelity
     return SweepResult(spec, rows, summary)
 
 
@@ -280,47 +290,41 @@ def saturation_gain(rows: list[SweepRow], method: str) -> float:
     return curve[-1].param_value
 
 
-def sweep_gain(spec: SweepSpec) -> SweepResult:
-    """Infidelity as a function of the amplification exponent."""
-    spec.validate()
-    state = preset(spec.state)
-    cfg = ReconConfig(bin_width=spec.bin_width)
-    seeds = _repeat_seeds(spec)
-    rows: list[SweepRow] = []
-    for gain in spec.grid:
-        for method in spec.methods:
-            params = _gain_sweep_params(spec.params, gain, method)
-            mean, std, aux = _point_infidelity(state, params, cfg, method, spec.n_shots, seeds)
-            rows.append(SweepRow(float(gain), method, mean, std, aux))
-    summary = {
-        "saturation_gain": {m: saturation_gain(rows, m) for m in spec.methods},
+def _saturation_summary(rows: list[SweepRow]) -> dict:
+    labels = dict.fromkeys(r.method for r in rows)
+    return {
+        "saturation_gain": {m: saturation_gain(rows, m) for m in labels},
         "saturated_infidelity": {
-            m: [r for r in rows if r.method == m][-1].mean_infidelity for m in spec.methods
+            m: [r for r in rows if r.method == m][-1].mean_infidelity for m in labels
         },
     }
-    return SweepResult(spec, rows, summary)
+
+
+def sweep_gain(spec: SweepSpec) -> SweepResult:
+    """Infidelity as a function of the amplification exponent."""
+    rows = _sweep(spec, (
+        (g, m, _gain_sweep_params(spec.params, g, m), m, {})
+        for g in spec.grid
+        for m in spec.methods
+    ))
+    return SweepResult(spec, rows, _saturation_summary(rows))
 
 
 def robustness_sweep(spec: SweepSpec) -> SweepResult:
     """Infidelity as one chain imperfection is swept, others at their
     defaults; reports the knee where the error leaves its floor."""
-    spec.validate()
     if spec.param not in _ROBUSTNESS_FIELDS:
         raise ValueError(
             f"robustness parameter must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}"
         )
-    state = preset(spec.state)
-    cfg = ReconConfig(bin_width=spec.bin_width)
-    seeds = _repeat_seeds(spec)
-    rows: list[SweepRow] = []
-    for value in spec.grid:
-        for method in spec.methods:
-            params = replace(spec.params, **{spec.param: float(value)})
-            if method == "standard":
-                params = replace(params, displacement=0.0)
-            mean, std, aux = _point_infidelity(state, params, cfg, method, spec.n_shots, seeds)
-            rows.append(SweepRow(float(value), method, mean, std, aux))
 
+    def params_at(value: float, method: str) -> ChainParams:
+        params = replace(spec.params, **{spec.param: float(value)})
+        return replace(params, displacement=0.0) if method == "standard" else params
+
+    rows = _sweep(spec, (
+        (v, m, params_at(v, m), m, {}) for v in spec.grid for m in spec.methods
+    ))
     summary: dict = {"knee": {}, "monotone_increasing": {}}
     for method in spec.methods:
         curve = [r for r in rows if r.method == method]
@@ -336,6 +340,30 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec, rows, summary)
 
 
+def _homodyne_d_points(spec: SweepSpec):
+    detector = spec.params.detector
+    if not isinstance(detector, HomodyneDetector):
+        detector = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
+    for d in spec.grid:
+        params = replace(spec.params, displacement=float(d), detector=detector)
+        yield d, "homodyne", params, "homodyne", {}
+        if "displaced" in spec.methods:
+            params = replace(spec.params, displacement=float(d), detector=IntensityDetector())
+            yield d, "displaced", params, "displaced", {}
+
+
+def _homodyne_gain_points(spec: SweepSpec):
+    for gain in spec.grid:
+        for eta in (1.0, 0.9, 0.5, 0.1):
+            det = HomodyneDetector(efficiency=eta, electronic_noise=0.1)
+            params = _gain_sweep_params(replace(spec.params, detector=det), gain, "homodyne")
+            yield gain, f"homodyne@eta={eta:g}", params, "homodyne", {"efficiency": eta}
+        for method in ("standard", "displaced"):
+            if method in spec.methods:
+                base = replace(spec.params, detector=IntensityDetector())
+                yield gain, method, _gain_sweep_params(base, gain, method), method, {}
+
+
 def homodyne_comparison(spec: SweepSpec) -> SweepResult:
     """Homodyne detection against the photon-counting estimators.
 
@@ -348,74 +376,25 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
       efficiencies 1, 0.9, 0.5 and 0.1 (electronic noise 0.1), overlaid
       with the standard and displaced photon-counting curves.
     """
-    spec.validate()
-    state = preset(spec.state)
-    cfg = ReconConfig(bin_width=spec.bin_width)
-    seeds = _repeat_seeds(spec)
-    rows: list[SweepRow] = []
-
-    if spec.param == "displacement":
-        detector = spec.params.detector
-        if not isinstance(detector, HomodyneDetector):
-            detector = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
-        base_h = replace(spec.params, detector=detector)
-        for d in spec.grid:
-            mean, std, aux = _point_infidelity(
-                state, replace(base_h, displacement=float(d)), cfg, "homodyne", spec.n_shots, seeds
-            )
-            rows.append(SweepRow(float(d), "homodyne", mean, std, aux))
-            if "displaced" in spec.methods:
-                params = replace(spec.params, displacement=float(d), detector=IntensityDetector())
-                mean, std, aux = _point_infidelity(
-                    state, params, cfg, "displaced", spec.n_shots, seeds
-                )
-                rows.append(SweepRow(float(d), "displaced", mean, std, aux))
-        homod = [r for r in rows if r.method == "homodyne"]
-        h_means = [r.mean_infidelity for r in homod]
-        band = 2.0 * float(np.median([r.std_infidelity for r in homod]))
-        summary = {
-            "homodyne_level": float(np.mean(h_means)),
-            "homodyne_variation": float(max(h_means) - min(h_means)),
-            "repeat_std_band": band,
-            "flat_within_band": bool(max(h_means) - min(h_means) < band),
-        }
-        disp = [r for r in rows if r.method == "displaced"]
-        if disp:
-            summary["displaced_plateau_level"] = min(r.mean_infidelity for r in disp)
-        return SweepResult(spec, rows, summary)
-
     if spec.param == "gain":
-        efficiencies = (1.0, 0.9, 0.5, 0.1)
-        for gain in spec.grid:
-            for eta in efficiencies:
-                det = HomodyneDetector(efficiency=eta, electronic_noise=0.1)
-                params = _gain_sweep_params(
-                    replace(spec.params, detector=det), gain, "homodyne"
-                )
-                mean, std, aux = _point_infidelity(
-                    state, params, cfg, "homodyne", spec.n_shots, seeds
-                )
-                aux["efficiency"] = eta
-                rows.append(SweepRow(float(gain), f"homodyne@eta={eta:g}", mean, std, aux))
-            for method in ("standard", "displaced"):
-                if method in spec.methods:
-                    params = _gain_sweep_params(
-                        replace(spec.params, detector=IntensityDetector()), gain, method
-                    )
-                    mean, std, aux = _point_infidelity(
-                        state, params, cfg, method, spec.n_shots, seeds
-                    )
-                    rows.append(SweepRow(float(gain), method, mean, std, aux))
-        labels = sorted({r.method for r in rows})
-        summary = {
-            "saturation_gain": {m: saturation_gain(rows, m) for m in labels},
-            "saturated_infidelity": {
-                m: [r for r in rows if r.method == m][-1].mean_infidelity for m in labels
-            },
-        }
-        return SweepResult(spec, rows, summary)
+        rows = _sweep(spec, _homodyne_gain_points(spec))
+        return SweepResult(spec, rows, _saturation_summary(rows))
+    if spec.param != "displacement":
+        raise ValueError("homodyne_comparison sweeps 'displacement' or 'gain'")
 
-    raise ValueError("homodyne_comparison sweeps 'displacement' or 'gain'")
+    rows = _sweep(spec, _homodyne_d_points(spec))
+    h_means = [r.mean_infidelity for r in rows if r.method == "homodyne"]
+    band = 2.0 * float(np.median([r.std_infidelity for r in rows if r.method == "homodyne"]))
+    summary = {
+        "homodyne_level": float(np.mean(h_means)),
+        "homodyne_variation": float(max(h_means) - min(h_means)),
+        "repeat_std_band": band,
+        "flat_within_band": bool(max(h_means) - min(h_means) < band),
+    }
+    disp = [r for r in rows if r.method == "displaced"]
+    if disp:
+        summary["displaced_plateau_level"] = min(r.mean_infidelity for r in disp)
+    return SweepResult(spec, rows, summary)
 
 
 # States and incoupling variants tabulated by the squeezing table.  The
@@ -439,7 +418,6 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
             "chain a displacement (the optimal region is d ~ 100)"
         )
     state = preset(spec.state)
-    cfg = ReconConfig(bin_width=spec.bin_width)
     seeds = _repeat_seeds(spec)
     m_values = tuple(int(v) for v in spec.grid) or SQUEEZING_TABLE_M
     rows: list[SweepRow] = []
@@ -450,7 +428,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
         )
         hists = [
             displaced_reconstruct(
-                run_batch(state, params, spec.n_shots, s), cfg, enforce_positivity=False
+                run_batch(state, params, spec.n_shots, s), spec.bin_width, enforce_positivity=False
             )
             for s in seeds
         ]

@@ -121,6 +121,8 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     overflow counter instead.
     """
     values = np.asarray(values, dtype=float)
+    if not (bin_width > 0.0):
+        raise ValueError("bin_width must be positive")
     if hi <= lo:
         raise ValueError("hi must exceed lo")
     n_bins = int(round((hi - lo) / bin_width))

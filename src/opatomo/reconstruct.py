@@ -20,7 +20,6 @@ fluctuations are physical noise the estimator cannot observe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .hist import DensityEstimate, QuadratureHistogram, bin_values
 from .nnls import solve_nnls
 
 __all__ = [
-    "ReconConfig",
     "PositivityViolation",
     "DegenerateSupport",
     "InconsistentBinning",
@@ -40,6 +38,7 @@ __all__ = [
     "standard_reconstruct",
     "displaced_reconstruct",
     "near_zero_fraction",
+    "near_zero_cut",
     "build_fold_matrices",
     "unfold_fold_samples",
     "double_displacement_reconstruct",
@@ -49,8 +48,15 @@ __all__ = [
 
 METHODS = ("standard", "displaced", "double", "homodyne")
 
+# The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH).
+GRID_HALF_WIDTH = 6.0
+
+# Largest fraction of outcomes within the near-zero cut of the fold point
+# that a single-displacement inversion accepts.
+POSITIVITY_THRESHOLD = 0.005
+
 # Multiplier applied to the noise-equivalent quadrature std when deriving
-# the default near-zero cut.
+# the near-zero cut.
 NEAR_ZERO_SIGMAS = 4.0
 
 # Bins with fewer counts than this are treated as empty when locating the
@@ -83,34 +89,6 @@ class InconsistentBinning(ValueError):
     grid (mismatched bin width or nominal chain parameters)."""
 
 
-@dataclass(frozen=True)
-class ReconConfig:
-    """Shared knobs of the reconstruction estimators.
-
-    ``near_zero_cut`` is in quadrature units at the fold; ``None`` means
-    "derive from the chain noise" via ``noise_equivalent_std``.
-    """
-
-    method: str = "displaced"
-    bin_width: float = 0.05
-    lo: float = -6.0
-    hi: float = 6.0
-    positivity_threshold: float = 0.005
-    near_zero_cut: float | None = None
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not (self.bin_width > 0.0):
-            raise ValueError("bin_width must be positive")
-        if not (self.lo < self.hi):
-            raise ValueError("lo must be below hi")
-        if not (0.0 <= self.positivity_threshold < 1.0):
-            raise ValueError("positivity_threshold must lie in [0, 1)")
-        if self.near_zero_cut is not None and self.near_zero_cut < 0.0:
-            raise ValueError("near_zero_cut must be non-negative")
-
-
 def noise_equivalent_std(params: ChainParams) -> float:
     """Quadrature scale below which an inverted intensity outcome is noise.
 
@@ -122,9 +100,8 @@ def noise_equivalent_std(params: ChainParams) -> float:
     return math.sqrt(params.output_noise / scale) if params.output_noise > 0.0 else 0.0
 
 
-def resolved_near_zero_cut(cfg: ReconConfig, params: ChainParams) -> float:
-    if cfg.near_zero_cut is not None:
-        return cfg.near_zero_cut
+def near_zero_cut(params: ChainParams) -> float:
+    """Fold-coordinate distance below which an outcome's sign is ambiguous."""
     return NEAR_ZERO_SIGMAS * noise_equivalent_std(params)
 
 
@@ -135,7 +112,7 @@ def fold_displacement(params: ChainParams) -> float:
     )
 
 
-def invert_intensity(outcomes, params: ChainParams, branch: int = 1) -> np.ndarray:
+def invert_intensity(outcomes, params: ChainParams) -> np.ndarray:
     """Map photon-number outcomes back to quadrature estimates.
 
     Negative outcomes (possible through detector noise) clamp the radicand
@@ -143,12 +120,10 @@ def invert_intensity(outcomes, params: ChainParams, branch: int = 1) -> np.ndarr
     the near-zero density this estimator cares about.  Inversion uses the
     nominal gain and transmittances.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
     n_x = np.asarray(outcomes, dtype=float)
     scale = math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
     folded = np.sqrt(np.clip(n_x, 0.0, None) / scale)
-    return branch * folded - fold_displacement(params)
+    return folded - fold_displacement(params)
 
 
 def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
@@ -164,11 +139,16 @@ def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     return i_x / denom - fold_displacement(params)
 
 
-def near_zero_fraction(batch: ShotBatch, cfg: ReconConfig) -> float:
-    """Fraction of a batch's fold coordinates below the near-zero cut."""
-    fold = invert_intensity(batch.outcomes, batch.params, branch=1) + fold_displacement(batch.params)
-    cut = resolved_near_zero_cut(cfg, batch.params)
-    return float(np.mean(fold < cut))
+def near_zero_fraction(batch: ShotBatch, estimates=None) -> float:
+    """Fraction of a batch's fold coordinates below the near-zero cut.
+
+    ``estimates`` are the batch's inverted outcomes, when the caller already
+    holds them; otherwise the outcomes are inverted here.
+    """
+    if estimates is None:
+        estimates = invert_intensity(batch.outcomes, batch.params)
+    fold = estimates + fold_displacement(batch.params)
+    return float(np.mean(fold < near_zero_cut(batch.params))) if fold.size else 0.0
 
 
 def _require_intensity(batch: ShotBatch, op: str) -> None:
@@ -176,25 +156,24 @@ def _require_intensity(batch: ShotBatch, op: str) -> None:
         raise ValueError(f"{op} requires an intensity-detector batch")
 
 
-def standard_reconstruct(batch: ShotBatch, cfg: ReconConfig) -> QuadratureHistogram:
+def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Symmetric reconstruction: fold, histogram, mirror.
 
     Every outcome is mapped to a non-negative quadrature value, histogrammed
-    on ``[0, hi)``, and each bin's mass is split equally onto the mirrored
-    pair of bins so the result lives on the full axis ``[-hi, hi)`` and is
+    on ``[0, GRID_HALF_WIDTH)``, and each bin's mass is split equally onto the
+    mirrored pair of bins so the result lives on the full axis and is
     directly comparable with the other estimators under the fidelity metric.
     Requires an undisplaced batch.
     """
-    cfg.validate()
     _require_intensity(batch, "standard_reconstruct")
     if batch.params.displacement != 0.0:
         raise ValueError("standard_reconstruct requires a batch taken at zero displacement")
-    magnitudes = invert_intensity(batch.outcomes, batch.params, branch=1)
-    half = bin_values(magnitudes, cfg.bin_width, 0.0, cfg.hi)
+    magnitudes = invert_intensity(batch.outcomes, batch.params)
+    half = bin_values(magnitudes, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
     return QuadratureHistogram(
-        bin_width=cfg.bin_width,
-        origin=-cfg.hi,
+        bin_width=bin_width,
+        origin=-GRID_HALF_WIDTH,
         counts=counts,
         n_total=2 * half.n_total,
         overflow=2 * half.overflow,
@@ -202,33 +181,30 @@ def standard_reconstruct(batch: ShotBatch, cfg: ReconConfig) -> QuadratureHistog
 
 
 def displaced_reconstruct(
-    batch: ShotBatch, cfg: ReconConfig, enforce_positivity: bool = True
+    batch: ShotBatch, bin_width: float, enforce_positivity: bool = True
 ) -> QuadratureHistogram:
     """Single-displacement reconstruction.
 
     The displacement is already subtracted inside the inversion, so the
     returned histogram lives on the original quadrature axis.  When more
-    than ``positivity_threshold`` of the outcomes fall within the near-zero
+    than ``POSITIVITY_THRESHOLD`` of the outcomes fall within the near-zero
     cut of the fold point the sign branch is ambiguous; with
     ``enforce_positivity`` a PositivityViolation is raised to direct the
     caller to the two-displacement estimator.
     """
-    cfg.validate()
     _require_intensity(batch, "displaced_reconstruct")
-    estimates = invert_intensity(batch.outcomes, batch.params, branch=1)
-    cut = resolved_near_zero_cut(cfg, batch.params)
-    fold = estimates + fold_displacement(batch.params)
-    fraction = float(np.mean(fold < cut)) if fold.size else 0.0
-    if enforce_positivity and fraction > cfg.positivity_threshold:
-        raise PositivityViolation(fraction, cut, cfg.positivity_threshold)
-    return bin_values(estimates, cfg.bin_width, cfg.lo, cfg.hi)
+    estimates = invert_intensity(batch.outcomes, batch.params)
+    if enforce_positivity:
+        fraction = near_zero_fraction(batch, estimates)
+        if fraction > POSITIVITY_THRESHOLD:
+            raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
+    return bin_values(estimates, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
-def homodyne_reconstruct(batch: ShotBatch, cfg: ReconConfig) -> QuadratureHistogram:
+def homodyne_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Histogram of affinely inverted homodyne currents."""
-    cfg.validate()
     estimates = invert_homodyne(batch.outcomes, batch.params)
-    return bin_values(estimates, cfg.bin_width, cfg.lo, cfg.hi)
+    return bin_values(estimates, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
 def build_fold_matrices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +305,7 @@ def unfold_fold_samples(
 
 
 def double_displacement_reconstruct(
-    batch_a: ShotBatch, batch_b: ShotBatch, cfg: ReconConfig
+    batch_a: ShotBatch, batch_b: ShotBatch, bin_width: float
 ) -> tuple[DensityEstimate, dict]:
     """Two-displacement reconstruction.
 
@@ -339,7 +315,6 @@ def double_displacement_reconstruct(
     displacement, the fold system is solved for the shifted variable, and
     the recovered centers are displaced back.
     """
-    cfg.validate()
     _require_intensity(batch_a, "double_displacement_reconstruct")
     _require_intensity(batch_b, "double_displacement_reconstruct")
     if batch_a.params.chain_key() != batch_b.params.chain_key():
@@ -355,6 +330,6 @@ def double_displacement_reconstruct(
         raise ValueError(
             "double_displacement_reconstruct needs two distinct displacements"
         )
-    y = invert_intensity(batch_a.outcomes, batch_a.params, branch=1) + d_a
-    z = invert_intensity(batch_b.outcomes, batch_b.params, branch=1) + d_b
-    return unfold_fold_samples(y, z, cfg.bin_width, shift=d_a)
+    y = invert_intensity(batch_a.outcomes, batch_a.params) + d_a
+    z = invert_intensity(batch_b.outcomes, batch_b.params) + d_b
+    return unfold_fold_samples(y, z, bin_width, shift=d_a)

@@ -15,7 +15,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr
 
 __all__ = [
@@ -135,7 +134,10 @@ def _cumulative_quadratic(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _fock_cdf_interp(n: int) -> PchipInterpolator:
+def _fock_cdf_interp(n: int):
+    # Imported here: only Fock CDFs need it, and it dominates import time.
+    from scipy.interpolate import PchipInterpolator
+
     half = _fock_half_width(n)
     grid = np.linspace(-half, half, _CDF_GRID + 1)
     cum = _cumulative_quadratic(_fock_pdf(n, grid), grid[1] - grid[0])

@@ -40,7 +40,7 @@ from opatomo.hist import (
 )
 from opatomo.nnls import solve_nnls
 from opatomo.reconstruct import (
-    ReconConfig,
+    GRID_HALF_WIDTH,
     build_fold_matrices,
     displaced_reconstruct,
     invert_homodyne,
@@ -57,7 +57,7 @@ GAIN_GRID = tuple(float(v) for v in np.linspace(1.0, 7.0, 25))
 # The repeat seeds every gate sweep (master seed 0) shares, derived as the
 # sweeps derive them, and the estimators' grid at the sweeps' bin width.
 GATE_SEEDS = tuple(derive_seed(0, r) for r in range(REPEATS))
-GATE_GRID = ReconConfig(bin_width=SweepSpec.bin_width)
+GATE_GRID = (SweepSpec.bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 # A lossless, noiseless G = 0 homodyne chain outputs the source x itself.
 IDEAL_HOMODYNE = ChainParams(
     gain=0.0, gain_jitter=0.0, input_transmittance=1.0, input_noise=0.0,
@@ -75,10 +75,9 @@ def _sampling_floor(name: str) -> tuple[float, ...]:
     same x draws the gate sweeps fed the chain for that seed.
     """
     state = preset(name)
-    g = GATE_GRID
     return tuple(
         1.0 - fidelity(
-            bin_values(run_batch(state, IDEAL_HOMODYNE, N_SHOTS, s).outcomes, g.bin_width, g.lo, g.hi),
+            bin_values(run_batch(state, IDEAL_HOMODYNE, N_SHOTS, s).outcomes, *GATE_GRID),
             state,
         )
         for s in GATE_SEEDS
@@ -140,7 +139,8 @@ def test_acceptance_1a_ideal_displacement_gain(report, ideal_displacement_sweep)
     params = replace(ideal_displacement_sweep.spec.params, displacement=summary["optimal_d"])
     displaced = np.array([
         1.0 - fidelity(
-            displaced_reconstruct(run_batch(state, params, N_SHOTS, s), GATE_GRID, enforce_positivity=False),
+            displaced_reconstruct(run_batch(state, params, N_SHOTS, s), SweepSpec.bin_width,
+                                  enforce_positivity=False),
             state,
         )
         for s in GATE_SEEDS
@@ -252,15 +252,15 @@ def test_sampling_floor_matches_multinomial_oracle(name):
     state = preset(name)
     floor = float(np.mean(_sampling_floor(name)))
     floor_sd = float(np.std(_sampling_floor(name), ddof=1))
-    g = GATE_GRID
-    p = analytic_bins(state, g.bin_width, g.lo, g.hi).masses
+    bin_width, lo, _ = GATE_GRID
+    p = analytic_bins(state, *GATE_GRID).masses
     cells = np.append(p, max(1.0 - p.sum(), 0.0))
     rng = np.random.default_rng(2026)
     infs = []
     for _ in range(256):
         draw = rng.multinomial(N_SHOTS, cells / cells.sum())
         hist = QuadratureHistogram(
-            bin_width=g.bin_width, origin=g.lo, counts=draw[:-1],
+            bin_width=bin_width, origin=lo, counts=draw[:-1],
             n_total=N_SHOTS, overflow=int(draw[-1]),
         )
         infs.append(1.0 - fidelity(hist, state))

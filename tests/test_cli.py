@@ -1,8 +1,18 @@
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
+from opatomo.chain import ChainParams
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, main
+from opatomo.experiments import (
+    SweepSpec,
+    homodyne_comparison,
+    robustness_sweep,
+    squeezing_table,
+    sweep_gain,
+)
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +190,48 @@ def test_reconstruct_double_sparse_batches_exit_with_config_error(capsys, tmp_pa
     assert "dependable count" in err
 
 
+def _rewrite_outcomes(path, edit):
+    with open(path) as fh:
+        header, column, *rows = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, column, *edit(rows)]) + "\n")
+
+
+def _reconstruct_exit(capsys, tmp_path, batch, *extra):
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", batch,
+                           "--method", "displaced", "--out-dir", str(tmp_path), *extra)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    return err
+
+
+def test_reconstruct_rejects_batch_shorter_than_header(capsys, tmp_path):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "5")
+    _rewrite_outcomes(batch, lambda rows: rows[:3])
+    err = _reconstruct_exit(capsys, tmp_path, batch)
+    assert "n_shots = 5" in err and "3 outcomes" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_non_finite_outcomes(capsys, tmp_path, bad):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "5")
+    _rewrite_outcomes(batch, lambda rows: [bad] + rows[1:])
+    assert "finite" in _reconstruct_exit(capsys, tmp_path, batch)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--displacement", "50"), ("--gain", "3"), ("--output-noise", "1"),
+    ("--detector", "homodyne"), ("--state", "mix"),
+])
+def test_reconstruct_rejects_flags_the_batch_header_fixes(capsys, tmp_path, flag, value):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "200")
+    err = _reconstruct_exit(capsys, tmp_path, batch, flag, value)
+    assert flag[2:].replace("-", "_") in err and "batch header" in err
+
+
 def test_reconstruct_missing_batch_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "reconstruct", "--batch",
                            str(tmp_path / "nothere.csv"), "--out-dir", str(tmp_path))
@@ -231,3 +283,49 @@ def test_runconfig_validation_names_offending_field():
     with pytest.raises(ConfigError) as info:
         RunConfig(method="fold").validate()
     assert info.value.field == "method"
+
+
+# Each sweep kind through the CLI against the same spec run as a library call.
+CLI_SWEEPS = {
+    "gain": (
+        ["sweep", "--kind", "gain", "--grid", "2,4"],
+        sweep_gain,
+        SweepSpec("gain", "sq", ("standard", "displaced"), "gain", (2.0, 4.0)),
+    ),
+    "robustness": (
+        ["sweep", "--kind", "robustness", "--param", "output_noise", "--grid", "0.3,3",
+         "--displacement", "100", "--methods", "displaced"],
+        robustness_sweep,
+        SweepSpec("robustness", "sq", ("displaced",), "output_noise", (0.3, 3.0),
+                  params=ChainParams(displacement=100.0)),
+    ),
+    "homodyne-d": (
+        ["sweep", "--kind", "homodyne-d", "--grid", "10,100", "--methods", "displaced"],
+        homodyne_comparison,
+        SweepSpec("homodyne_d", "sq", ("displaced",), "displacement", (10.0, 100.0)),
+    ),
+    "homodyne-gain": (
+        ["sweep", "--kind", "homodyne-gain", "--grid", "2,4"],
+        homodyne_comparison,
+        SweepSpec("homodyne_gain", "sq", ("standard", "displaced"), "gain", (2.0, 4.0)),
+    ),
+    "squeeze": (
+        ["squeeze", "--m", "3,5"],
+        squeezing_table,
+        SweepSpec("squeezing", "sq", ("displaced",), "m", (3.0, 5.0),
+                  params=ChainParams(displacement=100.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_SWEEPS))
+def test_cli_sweep_writes_library_bytes(capsys, tmp_path, kind):
+    argv, run, spec = CLI_SWEEPS[kind]
+    code, _, err = run_cli(capsys, *argv, "--n-shots", "2000", "--repeats", "2",
+                           "--out-dir", str(tmp_path / "cli"))
+    assert code == EXIT_OK, err
+    run(replace(spec, n_shots=2000, repeats=2)).to_csv(str(tmp_path / "lib"))
+    names = sorted(os.listdir(tmp_path / "lib"))
+    assert sorted(os.listdir(tmp_path / "cli")) == names and len(names) == 2
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()

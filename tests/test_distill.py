@@ -17,7 +17,7 @@ from opatomo.distill import (
     select_peak,
 )
 from opatomo.hist import DensityEstimate, analytic_point_density
-from opatomo.reconstruct import ReconConfig, displaced_reconstruct
+from opatomo.reconstruct import displaced_reconstruct
 from opatomo.states import preset
 
 
@@ -243,7 +243,7 @@ def test_loss_corrected_variance():
 def test_simulated_peak_sits_near_origin():
     params = ChainParams(displacement=100.0)
     batch = run_batch(preset("sq"), params, 100_000, 13)
-    hist = displaced_reconstruct(batch, ReconConfig())
+    hist = displaced_reconstruct(batch, 0.05)
     peak = select_peak(hist, window=3)
     assert abs(hist.centers[peak]) < 2 * hist.bin_width
     masses = hist.masses
@@ -255,7 +255,7 @@ def test_simulated_peak_sits_near_origin():
 def test_simulated_variance_independent_of_displacement():
     def v_at(d, seed):
         batch = run_batch(preset("sq"), ChainParams(displacement=d), 100_000, seed)
-        hist = displaced_reconstruct(batch, ReconConfig(), enforce_positivity=False)
+        hist = displaced_reconstruct(batch, 0.05, enforce_positivity=False)
         fit = fit_parabola(hist, select_peak(hist, window=3), 5)
         return distillable_variance(fit)
 

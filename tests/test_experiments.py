@@ -65,6 +65,13 @@ def test_spec_validation():
         small_spec(state="nope").validate()
 
 
+def test_spec_rejects_non_positive_bin_width():
+    with pytest.raises(ValueError, match="bin_width"):
+        small_spec(bin_width=0).validate()
+    with pytest.raises(ValueError, match="bin_width"):
+        small_spec(bin_width=-0.05).validate()
+
+
 # -- output files ----------------------------------------------------------------
 
 def test_sweep_outputs_are_byte_deterministic(tmp_path):
@@ -185,6 +192,29 @@ def test_robustness_sweep_structure():
     assert "displaced" in result.summary["monotone_increasing"]
     means = [r.mean_infidelity for r in result.rows]
     assert means[2] > means[0]  # extreme output noise must hurt
+
+
+def test_recurring_standard_point_runs_once_per_seed(monkeypatch):
+    # Sweeping the displacement leaves the standard estimator at d = 0 on
+    # every grid point, so its batches are drawn once per repeat seed.
+    calls = []
+    real_run_batch = experiments.run_batch
+
+    def counting(state, params, n, seed):
+        calls.append((params.displacement, seed))
+        return real_run_batch(state, params, n, seed)
+
+    monkeypatch.setattr(experiments, "run_batch", counting)
+    spec = small_spec(
+        experiment="robustness", param="displacement", grid=(50.0, 100.0, 200.0)
+    )
+    result = robustness_sweep(spec)
+    standard = [c for c in calls if c[0] == 0.0]
+    assert sorted(standard) == sorted((0.0, s) for s in experiments._repeat_seeds(spec))
+    assert len(calls) == spec.repeats * (1 + len(spec.grid))
+    rows = [r for r in result.rows if r.method == "standard"]
+    assert len(rows) == len(spec.grid)
+    assert len({(r.mean_infidelity, r.std_infidelity) for r in rows}) == 1
 
 
 # -- homodyne comparison ------------------------------------------------------------

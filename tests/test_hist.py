@@ -57,6 +57,12 @@ def test_grid_must_be_integer_bins():
         bin_values([0.0], 0.05, 1.0, 0.5)
 
 
+def test_bin_values_rejects_non_positive_width():
+    for width in (0.0, -0.05):
+        with pytest.raises(ValueError, match="bin_width"):
+            bin_values([0.0], width, 0.0, 0.1)
+
+
 def test_histogram_invariants_enforced():
     with pytest.raises(ValueError):
         QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 1], n_total=3)

@@ -7,10 +7,10 @@ from opatomo.chain import ChainParams, HomodyneDetector, run_batch
 from opatomo.hist import bin_values, fidelity
 from opatomo.reconstruct import (
     NEAR_ZERO_SIGMAS,
+    POSITIVITY_THRESHOLD,
     DegenerateSupport,
     InconsistentBinning,
     PositivityViolation,
-    ReconConfig,
     build_fold_matrices,
     displaced_reconstruct,
     double_displacement_reconstruct,
@@ -18,9 +18,9 @@ from opatomo.reconstruct import (
     homodyne_reconstruct,
     invert_homodyne,
     invert_intensity,
+    near_zero_cut,
     near_zero_fraction,
     noise_equivalent_std,
-    resolved_near_zero_cut,
     standard_reconstruct,
     unfold_fold_samples,
 )
@@ -77,19 +77,6 @@ def test_invert_intensity_pure_displacement_maps_near_zero():
     assert np.all(np.abs(invert_intensity(outcome, params)) < 1e-4)
 
 
-def test_invert_intensity_branches():
-    params = noiseless(displacement=20.0)
-    fd = fold_displacement(params)
-    scale = math.exp(2.0 * params.gain)
-    outcome = np.array([scale * 4.0])
-    plus = invert_intensity(outcome, params, branch=1)
-    minus = invert_intensity(outcome, params, branch=-1)
-    assert plus[0] == pytest.approx(2.0 - fd, abs=1e-12)
-    assert minus[0] == pytest.approx(-2.0 - fd, abs=1e-12)
-    with pytest.raises(ValueError):
-        invert_intensity(outcome, params, branch=2)
-
-
 def test_invert_intensity_clamps_negative_outcomes():
     params = noiseless()
     assert invert_intensity([-5.0], params)[0] == invert_intensity([0.0], params)[0]
@@ -126,36 +113,32 @@ def test_noise_equivalent_std_noiseless_is_zero():
     assert noise_equivalent_std(noiseless()) == 0.0
 
 
-def test_resolved_near_zero_cut():
-    cfg = ReconConfig()
-    assert resolved_near_zero_cut(cfg, ChainParams()) == pytest.approx(
-        0.40329709503271144, rel=1e-12
-    )
-    assert resolved_near_zero_cut(ReconConfig(near_zero_cut=0.2), ChainParams()) == 0.2
+def test_near_zero_cut():
+    assert near_zero_cut(ChainParams()) == pytest.approx(0.40329709503271144, rel=1e-12)
+    assert near_zero_cut(noiseless()) == 0.0
 
 
 def test_displaced_passes_positivity_far_from_fold():
     params = ChainParams(displacement=100.0)
     batch = run_batch(preset("sq"), params, 100_000, 7)
-    cfg = ReconConfig()
-    hist = displaced_reconstruct(batch, cfg)
+    hist = displaced_reconstruct(batch, 0.05)
     assert hist.n_total == 100_000
-    assert near_zero_fraction(batch, cfg) <= cfg.positivity_threshold
+    assert near_zero_fraction(batch) <= POSITIVITY_THRESHOLD
 
 
 def test_displaced_raises_positivity_at_zero_displacement():
     batch = run_batch(preset("sq"), ChainParams(), 20_000, 7)
-    cfg = ReconConfig()
     with pytest.raises(PositivityViolation) as info:
-        displaced_reconstruct(batch, cfg)
+        displaced_reconstruct(batch, 0.05)
     exc = info.value
-    assert exc.fraction > cfg.positivity_threshold
+    assert exc.fraction > POSITIVITY_THRESHOLD
+    assert exc.fraction == near_zero_fraction(batch)
     assert exc.cut == pytest.approx(0.40329709503271144, rel=1e-12)
-    assert exc.threshold == cfg.positivity_threshold
+    assert exc.threshold == POSITIVITY_THRESHOLD
     # the escape hatch for sweeps that just want the (bad) histogram
-    hist = displaced_reconstruct(batch, cfg, enforce_positivity=False)
+    hist = displaced_reconstruct(batch, 0.05, enforce_positivity=False)
     assert hist.n_total == 20_000
-    assert near_zero_fraction(batch, cfg) > 0.3
+    assert near_zero_fraction(batch) > 0.3
 
 
 # -- standard (fold-and-mirror) -------------------------------------------------------
@@ -173,13 +156,13 @@ def test_standard_exact_for_symmetric_two_point_state():
     state = _two_point_state()
     params = noiseless(gain=10.0)
     batch = run_batch(state, params, 20_000, 3)
-    hist = standard_reconstruct(batch, ReconConfig())
+    hist = standard_reconstruct(batch, 0.05)
     assert fidelity(hist, state) > 1.0 - 1e-12
 
 
 def test_standard_output_is_mirror_symmetric():
     batch = run_batch(preset("sq_disp"), ChainParams(), 5_000, 11)
-    hist = standard_reconstruct(batch, ReconConfig())
+    hist = standard_reconstruct(batch, 0.05)
     assert np.array_equal(hist.counts, hist.counts[::-1])
     assert hist.n_total == 10_000
     assert hist.origin == -6.0
@@ -188,22 +171,22 @@ def test_standard_output_is_mirror_symmetric():
 def test_standard_rejects_displaced_batch():
     batch = run_batch(preset("sq"), ChainParams(displacement=100.0), 100, 0)
     with pytest.raises(ValueError):
-        standard_reconstruct(batch, ReconConfig())
+        standard_reconstruct(batch, 0.05)
 
 
 def test_intensity_estimators_reject_homodyne_batches():
     params = ChainParams(detector=HomodyneDetector())
     batch = run_batch(preset("sq"), params, 100, 0)
     with pytest.raises(ValueError):
-        standard_reconstruct(batch, ReconConfig())
+        standard_reconstruct(batch, 0.05)
     with pytest.raises(ValueError):
-        displaced_reconstruct(batch, ReconConfig())
+        displaced_reconstruct(batch, 0.05)
 
 
 def test_homodyne_reconstruct_vacuum():
     params = ChainParams(detector=HomodyneDetector())
     batch = run_batch(preset("vac"), params, 100_000, 5)
-    hist = homodyne_reconstruct(batch, ReconConfig())
+    hist = homodyne_reconstruct(batch, 0.05)
     assert fidelity(hist, preset("vac")) > 0.995
 
 
@@ -337,14 +320,14 @@ def test_double_requires_matching_chains():
     a = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 0)
     b = run_batch(preset("mix"), ChainParams(displacement=66.0, gain=3.0), 200, 1)
     with pytest.raises(InconsistentBinning):
-        double_displacement_reconstruct(a, b, ReconConfig())
+        double_displacement_reconstruct(a, b, 0.05)
 
 
 def test_double_requires_distinct_displacements():
     a = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 0)
     b = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 1)
     with pytest.raises(ValueError):
-        double_displacement_reconstruct(a, b, ReconConfig())
+        double_displacement_reconstruct(a, b, 0.05)
 
 
 def test_double_rejects_homodyne_batches():
@@ -352,15 +335,14 @@ def test_double_rejects_homodyne_batches():
     a = run_batch(preset("mix"), params, 200, 0)
     b = run_batch(preset("mix"), ChainParams(displacement=66.0), 200, 1)
     with pytest.raises(ValueError):
-        double_displacement_reconstruct(a, b, ReconConfig())
+        double_displacement_reconstruct(a, b, 0.05)
 
 
 def test_double_is_order_insensitive():
-    cfg = ReconConfig(bin_width=0.2)
     a = run_batch(preset("mix"), ChainParams(displacement=33.0), 20_000, 0)
     b = run_batch(preset("mix"), ChainParams(displacement=66.0), 20_000, 1)
-    e1, d1 = double_displacement_reconstruct(a, b, cfg)
-    e2, d2 = double_displacement_reconstruct(b, a, cfg)
+    e1, d1 = double_displacement_reconstruct(a, b, 0.2)
+    e2, d2 = double_displacement_reconstruct(b, a, 0.2)
     assert np.array_equal(e1.masses, e2.masses)
     assert np.array_equal(e1.centers, e2.centers)
     assert d1 == d2
@@ -370,26 +352,9 @@ def test_double_is_order_insensitive():
 def test_double_end_to_end(name):
     # Chain displacements of 33/66 sit roughly 0.6/1.2 input-quadrature
     # units from the fold point at the default gain.
-    cfg = ReconConfig(bin_width=0.2)
     state = preset(name)
     a = run_batch(state, ChainParams(displacement=33.0), 50_000, 0)
     b = run_batch(state, ChainParams(displacement=66.0), 50_000, 1)
-    estimate, diag = double_displacement_reconstruct(a, b, cfg)
+    estimate, diag = double_displacement_reconstruct(a, b, 0.2)
     assert diag["nnls_converged"]
     assert fidelity(estimate, state) > 0.97
-
-
-# -- configuration ---------------------------------------------------------------
-
-def test_recon_config_validation():
-    ReconConfig().validate()
-    with pytest.raises(ValueError):
-        ReconConfig(method="fold").validate()
-    with pytest.raises(ValueError):
-        ReconConfig(bin_width=0.0).validate()
-    with pytest.raises(ValueError):
-        ReconConfig(lo=2.0, hi=-2.0).validate()
-    with pytest.raises(ValueError):
-        ReconConfig(positivity_threshold=1.0).validate()
-    with pytest.raises(ValueError):
-        ReconConfig(near_zero_cut=-0.1).validate()
