@@ -18,7 +18,7 @@ shot function is fixed and documented so batches are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import json
 import math
 
@@ -36,6 +36,9 @@ __all__ = [
     "intensity_shot",
     "homodyne_shot",
     "run_batch",
+    "chunk_sizes",
+    "draw_chunk",
+    "apply_chunk",
     "BATCH_CHUNK",
 ]
 
@@ -150,16 +153,28 @@ class ChainParams:
 
     @staticmethod
     def from_dict(d: dict) -> "ChainParams":
-        det_d = dict(d.get("detector", {"kind": "intensity"}))
+        """Inverse of ``to_dict``; anything malformed raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError("chain", "must be a JSON object")
+        det_d = d.get("detector", {"kind": "intensity"})
+        if not isinstance(det_d, dict):
+            raise ConfigError("detector", "must be a JSON object")
+        det_d = dict(det_d)
         kind = det_d.pop("kind", "intensity")
-        if kind == "homodyne":
-            detector = HomodyneDetector(**det_d)
-        elif kind == "intensity":
-            detector = IntensityDetector()
-        else:
-            raise ConfigError("detector.kind", f"unknown detector kind {kind!r}")
         rest = {k: v for k, v in d.items() if k != "detector"}
-        return ChainParams(detector=detector, **rest)
+        if kind not in ("homodyne", "intensity"):
+            raise ConfigError("detector.kind", f"unknown detector kind {kind!r}")
+        for name, given, cls in (("chain", rest, ChainParams),
+                                 ("detector", det_d, HomodyneDetector)):
+            unknown = sorted(set(given) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ConfigError(name, f"unknown fields {unknown!r}")
+        try:
+            detector = HomodyneDetector(**det_d) if kind == "homodyne" else IntensityDetector()
+            return ChainParams(detector=detector, **rest)
+        except (TypeError, OverflowError) as exc:
+            # A value that is not a number, or too large an integer.
+            raise ConfigError("chain", str(exc)) from None
 
 
 def _get(obj, dotted):
@@ -256,7 +271,20 @@ class ShotBatch:
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
             outcomes = np.array([float(line) for line in fh if line.strip()])
-        n_shots = int(meta["n_shots"])
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: batch header must be a JSON object")
+        missing = [key for key in ("chain", "n_shots", "seed") if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: batch header lacks {', '.join(missing)}")
+        state_label = meta.get("state", "")
+        if not isinstance(state_label, str):
+            raise ValueError(f"{path}: batch header state must be a string")
+        try:
+            n_shots, seed = int(meta["n_shots"]), int(meta["seed"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"{path}: batch header n_shots and seed must be integers ({exc})"
+            ) from None
         if n_shots < 1 or outcomes.size != n_shots:
             raise ValueError(
                 f"{path}: header says n_shots = {n_shots} but the file holds "
@@ -268,15 +296,53 @@ class ShotBatch:
             outcomes=outcomes,
             params=ChainParams.from_dict(meta["chain"]),
             n_shots=n_shots,
-            seed=int(meta["seed"]),
-            state_label=meta.get("state", ""),
+            seed=seed,
+            state_label=state_label,
         )
 
 
-def _chunk(state: SourceState, params: ChainParams, seed: int, index: int, count: int) -> np.ndarray:
+# Standard-normal rows a shot function reads, one value per shot in each:
+# intensity_shot reads all five, homodyne_shot the first four.
+CHAIN_NORMALS = 5
+
+
+class _Replay:
+    """Stand-in Generator for the shot functions: each ``standard_normal``
+    call returns the next row of pre-drawn normals, in draw order."""
+
+    def __init__(self, normals: np.ndarray):
+        self._rows = iter(normals)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        return next(self._rows)
+
+
+def chunk_sizes(n_shots: int) -> list[int]:
+    """Shot counts of the BATCH_CHUNK-sized chunks an n_shots batch spans."""
+    sizes = [BATCH_CHUNK] * (n_shots // BATCH_CHUNK)
+    if n_shots % BATCH_CHUNK:
+        sizes.append(n_shots % BATCH_CHUNK)
+    return sizes
+
+
+def draw_chunk(state: SourceState, seed: int, index: int, count: int) -> tuple:
+    """Every draw of chunk ``index`` of a batch: the source pairs (x, p) and a
+    (CHAIN_NORMALS, count) block of chain normals.
+
+    Sub-stream (seed, index) yields the source draws first, then the chain's
+    normals.  A block equals CHAIN_NORMALS successive ``standard_normal(count)``
+    draws, and the shot functions scale the normals only after drawing them,
+    so one chunk's draws serve every chain setting and either detector.
+    """
     rng = stream(seed, index)
     x, p = state.sample_xp(count, rng)
-    return _shot_fn(params)(x, p, params, rng)
+    return x, p, rng.standard_normal((CHAIN_NORMALS, count))
+
+
+def apply_chunk(draws: tuple, params: ChainParams) -> np.ndarray:
+    """Outcomes of one chunk's ``draw_chunk`` draws through the chain ``params``."""
+    x, p, normals = draws
+    return _shot_fn(params)(x, p, params, _Replay(normals))
 
 
 def run_batch(
@@ -293,10 +359,10 @@ def run_batch(
     """
     if n_shots <= 0:
         raise ConfigError("n_shots", f"must be positive (got {n_shots})")
-    counts = [BATCH_CHUNK] * (n_shots // BATCH_CHUNK)
-    if n_shots % BATCH_CHUNK:
-        counts.append(n_shots % BATCH_CHUNK)
-    parts = [_chunk(state, params, seed, i, c) for i, c in enumerate(counts)]
+    parts = [
+        apply_chunk(draw_chunk(state, seed, i, c), params)
+        for i, c in enumerate(chunk_sizes(n_shots))
+    ]
     return ShotBatch(
         outcomes=np.concatenate(parts),
         params=params,

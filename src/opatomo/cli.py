@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .chain import (
     ChainParams,
     ConfigError,
@@ -191,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    for key in ("state", "detector", *_CHAIN_FIELDS):
+    for key in ("state", "detector", "n_shots", "seed", *_CHAIN_FIELDS):
         if getattr(args, key) is not None:
             raise ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
     config = _finalize(_load_config(args.config, args.set or []), args)
@@ -357,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Floating-point overflow and invalid operations stop the command
+        # instead of printing a warning and carrying inf or NaN onward.
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except PositivityViolation as exc:
         print(
             f"error: {exc} (hint: take a second batch at a different "
@@ -368,8 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: {exc} (the inputs leave the floating-point range)", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -25,7 +25,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainParams, HomodyneDetector, IntensityDetector, run_batch
+from .chain import (
+    ChainParams,
+    HomodyneDetector,
+    IntensityDetector,
+    ShotBatch,
+    apply_chunk,
+    chunk_sizes,
+    draw_chunk,
+    run_batch,
+)
 from .distill import (
     DistillError,
     distillable_variance,
@@ -33,7 +42,7 @@ from .distill import (
     loss_corrected_variance,
     select_peak,
 )
-from .hist import analytic_point_density, fidelity
+from .hist import QuadratureHistogram, analytic_point_density, fidelity
 from .reconstruct import (
     POSITIVITY_THRESHOLD,
     displaced_reconstruct,
@@ -73,6 +82,10 @@ SATURATION_FACTOR = 1.5
 # Robustness knee: smallest swept value whose mean infidelity exceeds this
 # multiple of the sweep's minimum.
 KNEE_FACTOR = 2.0
+
+# Methods a sweep point can score; the two-displacement estimator needs a
+# second batch per point and is not one of them.
+SWEEP_METHODS = ("standard", "displaced", "homodyne")
 
 _ROBUSTNESS_FIELDS = (
     "input_noise",
@@ -192,51 +205,72 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _point_infidelity(
-    state, params: ChainParams, bin_width: float, method: str, n: int, seeds: list[int]
-) -> tuple[float, float, dict]:
-    """Mean/std of 1-F over the repeat seeds for one (grid point, method)."""
-    infs: list[float] = []
-    fractions: list[float] = []
-    for s in seeds:
-        batch = run_batch(state, params, n, s)
-        if method == "standard":
-            hist = standard_reconstruct(batch, bin_width)
-        elif method == "displaced":
-            hist = displaced_reconstruct(batch, bin_width, enforce_positivity=False)
-            fractions.append(near_zero_fraction(batch))
-        elif method == "homodyne":
-            hist = homodyne_reconstruct(batch, bin_width)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        infs.append(1.0 - fidelity(hist, state))
-    mean, std = _mean_std(infs)
-    aux: dict = {}
-    if fractions:
-        frac = float(np.mean(fractions))
-        aux["near_zero_fraction"] = frac
-        aux["positivity_ok"] = frac <= POSITIVITY_THRESHOLD
-    return mean, std, aux
+def _estimate(method: str, batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
+    if method == "standard":
+        return standard_reconstruct(batch, bin_width)
+    if method == "displaced":
+        return displaced_reconstruct(batch, bin_width, enforce_positivity=False)
+    return homodyne_reconstruct(batch, bin_width)
+
+
+def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: int) -> dict:
+    """``(params, method) -> (histogram, near-zero count)`` over one repeat
+    seed's batch, for every pair.
+
+    Each chunk's source and chain draws are made once and applied at every
+    pair; only one chunk's draws are held at a time.  Per-chunk histograms
+    add up exactly to the histogram of the whole batch.
+    """
+    hists: dict = {}
+    near_zero = dict.fromkeys(pairs, 0)
+    for index, count in enumerate(chunk_sizes(n_shots)):
+        draws = draw_chunk(state, seed, index, count)
+        for pair in pairs:
+            params, method = pair
+            batch = ShotBatch(apply_chunk(draws, params), params, count, seed, state.label)
+            hist = _estimate(method, batch, bin_width)
+            hists[pair] = hists[pair] + hist if pair in hists else hist
+            if method == "displaced":
+                # The fraction is count / size correctly rounded, so this
+                # recovers the integer count.
+                near_zero[pair] += round(near_zero_fraction(batch) * count)
+    return {pair: (hists[pair], near_zero[pair]) for pair in pairs}
 
 
 def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
     """One row per ``(value, label, params, method, extra_aux)`` point.
 
-    The spec is validated before the first point is drawn.  Every point
-    shares the spec's repeat seeds, so a ``(params, method)`` pair that
+    The spec and the methods are validated before anything is drawn.  Every
+    point shares the spec's repeat seeds, so each repeat's draws are made
+    once and reused at every point, and a ``(params, method)`` pair that
     recurs on the grid (the standard estimator's d = 0 reference, say) is
-    evaluated once and its result reused.
+    evaluated once.
     """
     spec.validate()
+    points = list(points)
+    pairs = list(dict.fromkeys((params, method) for _, _, params, method, _ in points))
+    for _, method in pairs:
+        if method not in SWEEP_METHODS:
+            raise ValueError(f"unknown method {method!r}")
     state = preset(spec.state)
-    seeds = _repeat_seeds(spec)
+    infs: dict = {pair: [] for pair in pairs}
+    fractions: dict = {pair: [] for pair in pairs}
+    for seed in _repeat_seeds(spec):
+        for pair, (hist, near_zero) in _seed_histograms(
+            state, pairs, spec.bin_width, spec.n_shots, seed
+        ).items():
+            infs[pair].append(1.0 - fidelity(hist, state))
+            fractions[pair].append(near_zero / spec.n_shots)
     evaluated: dict = {}
+    for pair in pairs:
+        aux: dict = {}
+        if pair[1] == "displaced":
+            frac = float(np.mean(fractions[pair]))
+            aux["near_zero_fraction"] = frac
+            aux["positivity_ok"] = frac <= POSITIVITY_THRESHOLD
+        evaluated[pair] = (*_mean_std(infs[pair]), aux)
     rows: list[SweepRow] = []
     for value, label, params, method, extra in points:
-        if (params, method) not in evaluated:
-            evaluated[params, method] = _point_infidelity(
-                state, params, spec.bin_width, method, spec.n_shots, seeds
-            )
         mean, std, aux = evaluated[params, method]
         rows.append(SweepRow(float(value), label, mean, std, {**aux, **extra}))
     return rows

@@ -58,6 +58,19 @@ class QuadratureHistogram:
         if counts.sum() + self.overflow != self.n_total:
             raise ValueError("counts + overflow must equal n_total")
 
+    def __add__(self, other: "QuadratureHistogram") -> "QuadratureHistogram":
+        """The histogram of both samples together; the grids must match."""
+        grid = (self.bin_width, self.origin, self.n_bins)
+        if (other.bin_width, other.origin, other.n_bins) != grid:
+            raise ValueError("histograms on different grids cannot be added")
+        return QuadratureHistogram(
+            bin_width=self.bin_width,
+            origin=self.origin,
+            counts=self.counts + other.counts,
+            n_total=self.n_total + other.n_total,
+            overflow=self.overflow + other.overflow,
+        )
+
     @property
     def n_bins(self) -> int:
         return self.counts.size
@@ -128,9 +141,12 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     n_bins = int(round((hi - lo) / bin_width))
     if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
         raise ValueError("grid range must be an integer number of bins")
-    idx = np.floor((values - lo) / bin_width).astype(np.int64)
-    in_range = (idx >= 0) & (idx < n_bins) & (values < hi)
-    counts = np.bincount(idx[in_range], minlength=n_bins)
+    pos = (values - lo) / bin_width
+    in_range = (pos >= 0) & (pos < n_bins) & (values < hi)
+    # Only in-range positions are cast, where truncation is the floor, so a
+    # value far off the grid never meets an integer cast it does not fit.
+    pos = pos[in_range]
+    counts = np.bincount(pos.astype(np.int64), minlength=n_bins)
     return QuadratureHistogram(
         bin_width=bin_width,
         origin=lo,

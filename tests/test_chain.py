@@ -11,6 +11,9 @@ from opatomo.chain import (
     HomodyneDetector,
     IntensityDetector,
     ShotBatch,
+    apply_chunk,
+    chunk_sizes,
+    draw_chunk,
     homodyne_shot,
     intensity_shot,
     run_batch,
@@ -153,6 +156,26 @@ def test_batch_chunking_is_position_invariant():
     small = run_batch(preset("sq"), params, BATCH_CHUNK, seed=9)
     large = run_batch(preset("sq"), params, BATCH_CHUNK + 500, seed=9)
     assert np.array_equal(small.outcomes, large.outcomes[:BATCH_CHUNK])
+
+
+def test_chunk_sizes_partition_the_batch():
+    assert chunk_sizes(BATCH_CHUNK) == [BATCH_CHUNK]
+    assert chunk_sizes(2 * BATCH_CHUNK + 7) == [BATCH_CHUNK, BATCH_CHUNK, 7]
+    assert chunk_sizes(3) == [3]
+
+
+@pytest.mark.parametrize("shot,detector", [
+    (intensity_shot, IntensityDetector()),
+    (homodyne_shot, HomodyneDetector(efficiency=0.5, electronic_noise=0.1)),
+])
+def test_one_chunk_draw_replays_either_shot_function(shot, detector):
+    # A chunk's pre-drawn block gives the outcomes the shot function gets
+    # from the same sub-stream, for both detectors: homodyne reads a prefix.
+    state, params = preset("sq"), ChainParams(displacement=30.0, detector=detector)
+    rng = stream(4, 1)
+    x, p = state.sample_xp(1_000, rng)
+    direct = shot(x, p, params, rng)
+    assert np.array_equal(apply_chunk(draw_chunk(state, 4, 1, 1_000), params), direct)
 
 
 def test_batch_size_validation():

@@ -223,13 +223,82 @@ def test_reconstruct_rejects_non_finite_outcomes(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("flag,value", [
     ("--displacement", "50"), ("--gain", "3"), ("--output-noise", "1"),
-    ("--detector", "homodyne"), ("--state", "mix"),
+    ("--detector", "homodyne"), ("--state", "mix"), ("--n-shots", "7"), ("--seed", "3"),
 ])
 def test_reconstruct_rejects_flags_the_batch_header_fixes(capsys, tmp_path, flag, value):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
                      "--n-shots", "200")
     err = _reconstruct_exit(capsys, tmp_path, batch, flag, value)
     assert flag[2:].replace("-", "_") in err and "batch header" in err
+
+
+def _rename(key, new):
+    return lambda meta: {new if k == key else k: v for k, v in meta.items()}
+
+
+@pytest.mark.parametrize("edit,needle", [
+    pytest.param(_rename("chain", "chian"), "lacks chain", id="chain-renamed"),
+    pytest.param(_rename("n_shots", "shots"), "lacks n_shots", id="n_shots-renamed"),
+    pytest.param(lambda meta: {k: v for k, v in meta.items() if k != "seed"}, "lacks seed",
+                 id="seed-dropped"),
+    pytest.param(lambda meta: [meta], "JSON object", id="not-an-object"),
+    pytest.param(lambda meta: {**meta, "chain": [1, 2]}, "chain: must be a JSON object",
+                 id="chain-not-an-object"),
+    pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "gian": 4.0}},
+                 "unknown fields ['gian']", id="unknown-chain-field"),
+    pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "gain": "high"}}, "chain:",
+                 id="non-numeric-gain"),
+    pytest.param(lambda meta: {**meta, "n_shots": None}, "integers", id="null-n_shots"),
+    pytest.param(lambda meta: {**meta, "state": ["sq"]}, "state must be a string",
+                 id="state-not-a-string"),
+])
+def test_reconstruct_rejects_malformed_batch_header(capsys, tmp_path, edit, needle):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "5")
+    _edit_header(batch, edit)
+    assert needle in _reconstruct_exit(capsys, tmp_path, batch)
+
+
+def _edit_header(path, edit):
+    with open(path) as fh:
+        header, rest = fh.readline(), fh.read()
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(edit(json.loads(header[2:]))) + "\n" + rest)
+
+
+def test_simulate_overflowing_chain_exits_with_config_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--gain", "1000", "--n-shots", "20",
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: overflow") and len(err.splitlines()) == 1
+
+
+def test_reconstruct_overflowing_header_gain_exits_with_config_error(capsys, tmp_path):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "20")
+    _edit_header(batch, lambda meta: {**meta, "chain": {**meta["chain"], "gain": 1000.0}})
+    assert "floating-point range" in _reconstruct_exit(capsys, tmp_path, batch)
+
+
+def test_reconstruct_counts_huge_outcomes_as_overflow(capsys, tmp_path, recwarn):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "20")
+    _rewrite_outcomes(batch, lambda rows: ["1e300"] + rows[1:])
+    code, out, err = run_cli(capsys, "reconstruct", "--batch", batch, "--method", "displaced",
+                             "--out-dir", str(tmp_path))
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["N"] == 20
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unreadable_config_exits_with_config_error(capsys, tmp_path, command):
+    extra = ["--kind", "gain"] if command == "sweep" else []
+    code, _, err = run_cli(capsys, command, "--config", str(tmp_path),
+                           "--out-dir", str(tmp_path), *extra)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(tmp_path) in err
 
 
 def test_reconstruct_missing_batch_file(capsys, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opatomo import experiments
-from opatomo.chain import ChainParams
+from opatomo.chain import BATCH_CHUNK, ChainParams, HomodyneDetector, run_batch
 from opatomo.distill import NotConcave
 from opatomo.experiments import (
     GAIN_SWEEP_FOLD_D,
@@ -21,7 +21,14 @@ from opatomo.experiments import (
     sweep_gain,
 )
 from opatomo.hist import QuadratureHistogram
-from opatomo.reconstruct import fold_displacement
+from opatomo.reconstruct import (
+    displaced_reconstruct,
+    fold_displacement,
+    homodyne_reconstruct,
+    near_zero_fraction,
+    standard_reconstruct,
+)
+from opatomo.states import SourceState, preset
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -194,27 +201,75 @@ def test_robustness_sweep_structure():
     assert means[2] > means[0]  # extreme output noise must hurt
 
 
-def test_recurring_standard_point_runs_once_per_seed(monkeypatch):
-    # Sweeping the displacement leaves the standard estimator at d = 0 on
-    # every grid point, so its batches are drawn once per repeat seed.
-    calls = []
-    real_run_batch = experiments.run_batch
+# -- the engine -------------------------------------------------------------------
 
-    def counting(state, params, n, seed):
-        calls.append((params.displacement, seed))
-        return real_run_batch(state, params, n, seed)
+TWO_CHUNKS = BATCH_CHUNK + 500
 
-    monkeypatch.setattr(experiments, "run_batch", counting)
-    spec = small_spec(
-        experiment="robustness", param="displacement", grid=(50.0, 100.0, 200.0)
-    )
-    result = robustness_sweep(spec)
-    standard = [c for c in calls if c[0] == 0.0]
-    assert sorted(standard) == sorted((0.0, s) for s in experiments._repeat_seeds(spec))
-    assert len(calls) == spec.repeats * (1 + len(spec.grid))
-    rows = [r for r in result.rows if r.method == "standard"]
-    assert len(rows) == len(spec.grid)
-    assert len({(r.mean_infidelity, r.std_infidelity) for r in rows}) == 1
+
+def _count_source_draws(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = SourceState.sample_xp
+
+    def counting(self, n, rng):
+        calls.append(n)
+        return real(self, n, rng)
+
+    monkeypatch.setattr(SourceState, "sample_xp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sweep,overrides", [
+    pytest.param(sweep_displacement, dict(grid=(50.0,), methods=("displaced",)), id="one-point"),
+    pytest.param(sweep_displacement, dict(grid=(10.0, 100.0, 1000.0)), id="displacement"),
+    pytest.param(robustness_sweep, dict(experiment="robustness", grid=(50.0, 100.0, 200.0)),
+                 id="robustness"),
+    pytest.param(homodyne_comparison,
+                 dict(experiment="homodyne_gain", param="gain", grid=(2.0, 4.0)),
+                 id="homodyne-gain"),
+])
+def test_sweep_samples_each_repeat_chunk_once(monkeypatch, sweep, overrides):
+    # However many grid points, methods and detector kinds a sweep scores,
+    # the source is sampled once per (repeat seed, chunk).
+    calls = _count_source_draws(monkeypatch)
+    spec = small_spec(**{"n_shots": TWO_CHUNKS, **overrides})
+    sweep(spec)
+    assert calls == [BATCH_CHUNK, 500] * spec.repeats
+
+
+def test_unknown_method_raises_before_anything_is_drawn(monkeypatch):
+    calls = _count_source_draws(monkeypatch)
+    with pytest.raises(ValueError, match="unknown method 'double'"):
+        sweep_displacement(small_spec(methods=("displaced", "double")))
+    assert calls == []
+
+
+def test_engine_histograms_equal_the_estimators_on_run_batch():
+    # One shared draw per chunk, applied at every pair and summed over
+    # chunks, gives bit for bit what each estimator makes of the whole batch.
+    state, n, seed = preset("sq"), 2 * BATCH_CHUNK + 300, 11
+    homodyne = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
+    pairs = [
+        (ChainParams(), "standard"),
+        (ChainParams(displacement=20.0), "displaced"),
+        (ChainParams(displacement=10.0, detector=homodyne), "homodyne"),
+    ]
+    estimators = {
+        "standard": standard_reconstruct,
+        "displaced": lambda b, w: displaced_reconstruct(b, w, enforce_positivity=False),
+        "homodyne": homodyne_reconstruct,
+    }
+    result = experiments._seed_histograms(state, pairs, 0.05, n, seed)
+    for params, method in pairs:
+        hist, near_zero = result[params, method]
+        batch = run_batch(state, params, n, seed)
+        ref = estimators[method](batch, 0.05)
+        assert np.array_equal(hist.counts, ref.counts)
+        assert (hist.n_total, hist.overflow) == (ref.n_total, ref.overflow)
+        if method == "displaced":
+            assert near_zero > 0
+            assert near_zero / n == near_zero_fraction(batch)
+        else:
+            assert near_zero == 0
 
 
 # -- homodyne comparison ------------------------------------------------------------

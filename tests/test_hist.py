@@ -44,6 +44,12 @@ def test_value_exactly_at_hi_overflows():
     assert int(hist.counts.sum()) == 0
 
 
+def test_values_far_off_the_grid_overflow_without_a_cast_error():
+    with np.errstate(all="raise"):
+        h = bin_values([1e300, -1e300, 0.1], 0.5, -1.0, 1.0)
+    assert h.overflow == 2 and h.counts.tolist() == [0, 0, 1, 0]
+
+
 def test_empty_input_is_valid():
     hist = bin_values([], 0.05, 0.0, 0.2)
     assert int(hist.counts.sum()) == 0
@@ -70,6 +76,16 @@ def test_histogram_invariants_enforced():
         QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[-1, 3], n_total=2)
     with pytest.raises(ValueError):
         QuadratureHistogram(bin_width=0.0, origin=0.0, counts=[1], n_total=1)
+
+
+def test_histograms_add_to_the_histogram_of_both_samples():
+    a, b = np.array([-7.0, -0.5, 0.1, 0.3]), np.array([0.2, 2.0, 9.0])
+    total = bin_values(a, 0.25, -1.0, 1.0) + bin_values(b, 0.25, -1.0, 1.0)
+    joint = bin_values(np.concatenate((a, b)), 0.25, -1.0, 1.0)
+    assert np.array_equal(total.counts, joint.counts)
+    assert (total.n_total, total.overflow) == (joint.n_total, joint.overflow) == (7, 3)
+    with pytest.raises(ValueError, match="grids"):
+        bin_values(a, 0.25, -1.0, 1.0) + bin_values(b, 0.5, -1.0, 1.0)
 
 
 def test_centers_and_edges():
