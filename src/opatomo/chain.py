@@ -18,7 +18,7 @@ shot function is fixed and documented so batches are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 import json
 import math
 
@@ -105,7 +105,6 @@ class ChainParams:
             ("output_transmittance", 0.0 < self.output_transmittance <= 1.0, "must be in (0, 1]"),
             ("output_transmittance_jitter", self.output_transmittance_jitter >= 0.0, "must be >= 0"),
             ("output_noise", self.output_noise >= 0.0, "must be >= 0"),
-            ("displacement", math.isfinite(self.displacement), "must be finite"),
         ]
         if isinstance(self.detector, HomodyneDetector):
             checks += [
@@ -117,39 +116,17 @@ class ChainParams:
         for name, ok, msg in checks:
             if not ok:
                 raise ConfigError(name, f"{msg} (got {_get(self, name)})")
-        for name in ("gain", "gain_jitter", "input_transmittance", "input_noise",
-                     "output_transmittance", "output_transmittance_jitter", "output_noise"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(name, "must be finite")
+        for obj, prefix in ((self, ""), (self.detector, "detector.")):
+            for f in fields(obj):
+                if isinstance(f.default, float) and not math.isfinite(getattr(obj, f.name)):
+                    raise ConfigError(prefix + f.name, "must be finite")
 
-    def chain_key(self) -> tuple:
-        """Everything except the displacement; used to pair batches."""
-        return (
-            self.gain, self.gain_jitter, self.input_transmittance, self.input_noise,
-            self.output_transmittance, self.output_transmittance_jitter,
-            self.output_noise, self.detector,
-        )
+    def chain_key(self) -> "ChainParams":
+        """The same chain at zero displacement; used to pair batches."""
+        return replace(self, displacement=0.0)
 
     def to_dict(self) -> dict:
-        d = {
-            "gain": self.gain,
-            "gain_jitter": self.gain_jitter,
-            "input_transmittance": self.input_transmittance,
-            "input_noise": self.input_noise,
-            "output_transmittance": self.output_transmittance,
-            "output_transmittance_jitter": self.output_transmittance_jitter,
-            "output_noise": self.output_noise,
-            "displacement": self.displacement,
-            "detector": {"kind": self.detector.kind},
-        }
-        if isinstance(self.detector, HomodyneDetector):
-            d["detector"].update(
-                efficiency=self.detector.efficiency,
-                lo_amplitude=self.detector.lo_amplitude,
-                vacuum_noise=self.detector.vacuum_noise,
-                electronic_noise=self.detector.electronic_noise,
-            )
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ChainParams":

@@ -56,32 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_POSITIVITY = 3
 
-_CHAIN_FIELDS = {
-    "gain": float,
-    "gain_jitter": float,
-    "input_transmittance": float,
-    "input_noise": float,
-    "output_transmittance": float,
-    "output_transmittance_jitter": float,
-    "output_noise": float,
-    "displacement": float,
-}
-_DETECTOR_FIELDS = {
-    "efficiency": float,
-    "lo_amplitude": float,
-    "vacuum_noise": float,
-    "electronic_noise": float,
-}
-_RUN_FIELDS = {
-    "state": str,
-    "method": str,
-    "detector": str,
-    "n_shots": int,
-    "bin_width": float,
-    "seed": int,
-    "out_dir": str,
-}
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -116,17 +90,40 @@ class RunConfig:
         self.params.validate()
 
     def to_json(self) -> str:
-        payload = {k: getattr(self, k) for k in _RUN_FIELDS}
-        payload["params"] = self.params.to_dict()
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
 
-def _apply_assignment(config: RunConfig, item: str, where: str) -> None:
+def _field_casters(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Config key -> caster for each field of ``cls`` that has a plain
+    default; the caster is the default's type."""
+    return {
+        f.name: type(f.default)
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING and f.name not in skip
+    }
+
+
+_CHAIN_FIELDS = _field_casters(ChainParams)
+_DETECTOR_FIELDS = _field_casters(HomodyneDetector, skip=("kind",))
+_RUN_FIELDS = _field_casters(RunConfig)
+
+# Keys a batch header fixes; reconstruct refuses them from every source.
+_HEADER_KEYS = ("state", "detector", "n_shots", "seed", *_CHAIN_FIELDS, *_DETECTOR_FIELDS)
+
+
+def _header_fixed(key: str) -> ConfigError:
+    return ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
+
+
+def _apply_assignment(config: RunConfig, item: str, where: str,
+                      refused: tuple[str, ...] = ()) -> None:
     """Apply one ``key=value`` line of a config file or one --set value;
-    ``where`` names it in errors."""
+    ``where`` names it in errors, and a key in ``refused`` is an error."""
     if "=" not in item:
         raise ConfigError(where, "expected key=value")
     key, raw = (part.strip() for part in item.split("=", 1))
+    if key in refused:
+        raise _header_fixed(key)
     if key in _RUN_FIELDS:
         setattr(config, key, _RUN_FIELDS[key](raw))
     elif key in _CHAIN_FIELDS:
@@ -142,16 +139,17 @@ def _apply_assignment(config: RunConfig, item: str, where: str) -> None:
         raise ConfigError(key, "unknown configuration key")
 
 
-def _load_config(path: str | None, assignments: list[str]) -> RunConfig:
+def _load_config(path: str | None, assignments: list[str],
+                 refused: tuple[str, ...] = ()) -> RunConfig:
     config = RunConfig()
     if path:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if line:
-                    _apply_assignment(config, line, f"{path}:{lineno}")
+                    _apply_assignment(config, line, f"{path}:{lineno}", refused)
     for item in assignments:
-        _apply_assignment(config, item, item)
+        _apply_assignment(config, item, item, refused)
     return config
 
 
@@ -193,10 +191,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    for key in ("state", "detector", "n_shots", "seed", *_CHAIN_FIELDS):
-        if getattr(args, key) is not None:
-            raise ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
-    config = _finalize(_load_config(args.config, args.set or []), args)
+    for key in _HEADER_KEYS:
+        if getattr(args, key, None) is not None:
+            raise _header_fixed(key)
+    config = _finalize(_load_config(args.config, args.set or [], _HEADER_KEYS), args)
     batch = ShotBatch.from_csv(args.batch)
     if batch.state_label not in PRESETS:
         raise ConfigError(

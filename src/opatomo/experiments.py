@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -127,18 +127,8 @@ class SweepSpec:
         self.params.validate()
 
     def canonical_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "state": self.state,
-            "methods": list(self.methods),
-            "param": self.param,
-            "grid": [repr(float(v)) for v in self.grid],
-            "params": self.params.to_dict(),
-            "bin_width": self.bin_width,
-            "n_shots": self.n_shots,
-            "repeats": self.repeats,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
+        payload["grid"] = [repr(float(v)) for v in self.grid]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def spec_hash(self) -> str:
@@ -240,14 +230,18 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
 def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
     """One row per ``(value, label, params, method, extra_aux)`` point.
 
-    The spec and the methods are validated before anything is drawn.  Every
-    point shares the spec's repeat seeds, so each repeat's draws are made
-    once and reused at every point, and a ``(params, method)`` pair that
-    recurs on the grid (the standard estimator's d = 0 reference, say) is
-    evaluated once.
+    The spec and the methods are validated before anything is drawn.  The
+    standard estimator has no displacement knob, so its points run at
+    d = 0.  Every point shares the spec's repeat seeds, so each repeat's
+    draws are made once and reused at every point, and a ``(params,
+    method)`` pair that recurs on the grid (the standard estimator's d = 0
+    reference, say) is evaluated once.
     """
     spec.validate()
-    points = list(points)
+    points = [
+        (v, label, replace(params, displacement=0.0) if m == "standard" else params, m, extra)
+        for v, label, params, m, extra in points
+    ]
     pairs = list(dict.fromkeys((params, method) for _, _, params, method, _ in points))
     for _, method in pairs:
         if method not in SWEEP_METHODS:
@@ -284,7 +278,7 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
     (mean, std) row is replicated across the grid as a flat reference.
     """
     rows = _sweep(spec, (
-        (d, m, replace(spec.params, displacement=0.0 if m == "standard" else float(d)), m, {})
+        (d, m, replace(spec.params, displacement=float(d)), m, {})
         for d in spec.grid
         for m in spec.methods
     ))
@@ -306,9 +300,7 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec, rows, summary)
 
 
-def _gain_sweep_params(base: ChainParams, gain: float, method: str) -> ChainParams:
-    if method == "standard":
-        return replace(base, gain=float(gain), displacement=0.0)
+def _gain_sweep_params(base: ChainParams, gain: float) -> ChainParams:
     displacement = GAIN_SWEEP_FOLD_D * math.exp(gain) * math.sqrt(base.input_transmittance)
     return replace(base, gain=float(gain), displacement=displacement)
 
@@ -337,7 +329,7 @@ def _saturation_summary(rows: list[SweepRow]) -> dict:
 def sweep_gain(spec: SweepSpec) -> SweepResult:
     """Infidelity as a function of the amplification exponent."""
     rows = _sweep(spec, (
-        (g, m, _gain_sweep_params(spec.params, g, m), m, {})
+        (g, m, _gain_sweep_params(spec.params, g), m, {})
         for g in spec.grid
         for m in spec.methods
     ))
@@ -351,13 +343,10 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
         raise ValueError(
             f"robustness parameter must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}"
         )
-
-    def params_at(value: float, method: str) -> ChainParams:
-        params = replace(spec.params, **{spec.param: float(value)})
-        return replace(params, displacement=0.0) if method == "standard" else params
-
     rows = _sweep(spec, (
-        (v, m, params_at(v, m), m, {}) for v in spec.grid for m in spec.methods
+        (v, m, replace(spec.params, **{spec.param: float(v)}), m, {})
+        for v in spec.grid
+        for m in spec.methods
     ))
     summary: dict = {"knee": {}, "monotone_increasing": {}}
     for method in spec.methods:
@@ -390,12 +379,12 @@ def _homodyne_gain_points(spec: SweepSpec):
     for gain in spec.grid:
         for eta in (1.0, 0.9, 0.5, 0.1):
             det = HomodyneDetector(efficiency=eta, electronic_noise=0.1)
-            params = _gain_sweep_params(replace(spec.params, detector=det), gain, "homodyne")
+            params = _gain_sweep_params(replace(spec.params, detector=det), gain)
             yield gain, f"homodyne@eta={eta:g}", params, "homodyne", {"efficiency": eta}
         for method in ("standard", "displaced"):
             if method in spec.methods:
                 base = replace(spec.params, detector=IntensityDetector())
-                yield gain, method, _gain_sweep_params(base, gain, method), method, {}
+                yield gain, method, _gain_sweep_params(base, gain), method, {}
 
 
 def homodyne_comparison(spec: SweepSpec) -> SweepResult:

@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 
+# Largest grid bin_values builds; a finer grid is refused, not allocated.
+MAX_BINS = 1_000_000
+
+
 def _edges(origin: float, bin_width: float, n_bins: int) -> np.ndarray:
     return origin + bin_width * np.arange(n_bins + 1)
 
@@ -129,16 +133,22 @@ class DensityEstimate:
 def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHistogram:
     """Histogram `values` on [lo, hi) with the given width.
 
-    hi - lo must be an integer number of bins. A value lands in bin
-    floor((v - lo) / bin_width); anything outside [lo, hi) increments the
-    overflow counter instead.
+    hi - lo must be an integer number of bins, at most MAX_BINS. A value
+    lands in bin floor((v - lo) / bin_width); anything outside [lo, hi)
+    increments the overflow counter instead.
     """
     values = np.asarray(values, dtype=float)
     if not (bin_width > 0.0):
         raise ValueError("bin_width must be positive")
     if hi <= lo:
         raise ValueError("hi must exceed lo")
-    n_bins = int(round((hi - lo) / bin_width))
+    span = (hi - lo) / bin_width
+    if span > MAX_BINS:
+        raise ValueError(
+            f"a grid of {span:.4g} bins of width {bin_width!r} exceeds the cap of "
+            f"{MAX_BINS} bins; use a wider bin width"
+        )
+    n_bins = int(round(span))
     if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
         raise ValueError("grid range must be an integer number of bins")
     pos = (values - lo) / bin_width

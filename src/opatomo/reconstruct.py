@@ -139,16 +139,18 @@ def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     return i_x / denom - fold_displacement(params)
 
 
-def near_zero_fraction(batch: ShotBatch, estimates=None) -> float:
+def near_zero_fraction(batch: ShotBatch) -> float:
     """Fraction of a batch's fold coordinates below the near-zero cut.
 
-    ``estimates`` are the batch's inverted outcomes, when the caller already
-    holds them; otherwise the outcomes are inverted here.
+    The fold coordinate sqrt(max(n, 0) / scale) lies below the cut
+    NEAR_ZERO_SIGMAS * sqrt(output_noise / scale) exactly when the outcome
+    n lies below NEAR_ZERO_SIGMAS**2 * output_noise, so the outcomes are
+    compared in outcome units and never inverted.  A zero cut admits none.
     """
-    if estimates is None:
-        estimates = invert_intensity(batch.outcomes, batch.params)
-    fold = estimates + fold_displacement(batch.params)
-    return float(np.mean(fold < near_zero_cut(batch.params))) if fold.size else 0.0
+    limit = NEAR_ZERO_SIGMAS**2 * batch.params.output_noise
+    if limit == 0.0 or batch.outcomes.size == 0:
+        return 0.0
+    return float(np.mean(batch.outcomes < limit))
 
 
 def _require_intensity(batch: ShotBatch, op: str) -> None:
@@ -193,11 +195,11 @@ def displaced_reconstruct(
     caller to the two-displacement estimator.
     """
     _require_intensity(batch, "displaced_reconstruct")
-    estimates = invert_intensity(batch.outcomes, batch.params)
     if enforce_positivity:
-        fraction = near_zero_fraction(batch, estimates)
+        fraction = near_zero_fraction(batch)
         if fraction > POSITIVITY_THRESHOLD:
             raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
+    estimates = invert_intensity(batch.outcomes, batch.params)
     return bin_values(estimates, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 

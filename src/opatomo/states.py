@@ -22,10 +22,8 @@ __all__ = [
     "MAX_FOCK",
     "GaussianComponent",
     "SourceState",
-    "gaussian_1d",
     "hermite_functions",
     "preset",
-    "preset_names",
     "PRESETS",
 ]
 
@@ -77,21 +75,6 @@ class GaussianComponent:
         rel = theta - self.squeeze_angle
         c, s = math.cos(rel), math.sin(rel)
         return self.min_variance * c * c + self.max_variance * s * s
-
-
-def gaussian_1d(std: float, mean_x: float = 0.0, weight: float = 1.0) -> GaussianComponent:
-    """Component whose x-marginal is N(mean_x, std^2), for free-form mixtures.
-
-    std below the vacuum level puts the squeezed axis along x, above it along p.
-    """
-    if std <= 0.0:
-        raise ValueError("std must be positive")
-    var = std * std
-    if var <= VACUUM_VARIANCE:
-        g = 0.5 * math.log(VACUUM_VARIANCE / var)
-        return GaussianComponent(weight, mean_x=mean_x, squeezing=g, squeeze_angle=0.0)
-    g = 0.5 * math.log(var / VACUUM_VARIANCE)
-    return GaussianComponent(weight, mean_x=mean_x, squeezing=g, squeeze_angle=0.5 * math.pi)
 
 
 def hermite_functions(n_max: int, u: np.ndarray) -> np.ndarray:
@@ -229,16 +212,6 @@ class SourceState:
             return 0.0
         return sum(c.weight * c.mean_along(self.theta) for c in self.components)
 
-    def marginal_variance(self) -> float:
-        if self.kind == "fock":
-            return (2.0 * self.fock_n + 1.0) * VACUUM_VARIANCE
-        mu = self.marginal_mean()
-        second = sum(
-            c.weight * (c.variance_along(self.theta) + c.mean_along(self.theta) ** 2)
-            for c in self.components
-        )
-        return second - mu * mu
-
     # -- sampling ----------------------------------------------------------
 
     def sample_xp(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -323,6 +296,3 @@ def preset(name: str) -> SourceState:
     except KeyError:
         raise KeyError(f"unknown state preset {name!r}; known: {', '.join(PRESETS)}") from None
 
-
-def preset_names() -> list[str]:
-    return list(PRESETS)

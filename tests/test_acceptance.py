@@ -46,8 +46,9 @@ from opatomo.reconstruct import (
     invert_homodyne,
     unfold_fold_samples,
 )
-from opatomo.states import SourceState, gaussian_1d, preset, preset_names
+from opatomo.states import PRESETS, SourceState, preset
 from opatomo.streams import derive_seed
+from state_helpers import gaussian_1d
 
 N_SHOTS = 100_000
 REPEATS = 8
@@ -289,7 +290,7 @@ def test_acceptance_6_homodyne_unbiased(report):
     worst = 0.0
     worst_state = ""
     ok = True
-    for i, name in enumerate(preset_names()):
+    for i, name in enumerate(PRESETS):
         state = preset(name)
         batch = run_batch(state, params, 1_000_000, 600 + i)
         estimates = invert_homodyne(batch.outcomes, params)

@@ -216,6 +216,10 @@ def test_batch_csv_rejects_garbage(tmp_path):
         (dict(output_transmittance=0.0), "output_transmittance"),
         (dict(output_noise=-1.0), "output_noise"),
         (dict(displacement=float("nan")), "displacement"),
+        (dict(gain=float("inf")), "gain"),
+        (dict(detector=HomodyneDetector(lo_amplitude=float("inf"))), "detector.lo_amplitude"),
+        (dict(detector=HomodyneDetector(electronic_noise=float("inf"))),
+         "detector.electronic_noise"),
     ],
 )
 def test_chain_params_validation_names_field(kwargs, field):

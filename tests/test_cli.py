@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from opatomo.chain import ChainParams
+from opatomo.chain import ChainParams, HomodyneDetector
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, main
 from opatomo.experiments import (
     SweepSpec,
@@ -88,6 +89,54 @@ def test_config_file_set_and_flag_precedence(capsys, tmp_path):
     with open(path) as fh:
         header = json.loads(fh.readline()[2:])
     assert header["chain"]["displacement"] == 100.0
+
+
+# Every chain and detector field, each set to a value no default has.
+SETTABLE_FIELDS = [
+    *((f.name, False) for f in fields(ChainParams) if f.name != "detector"),
+    *((f.name, True) for f in fields(HomodyneDetector) if f.name != "kind"),
+]
+
+
+@pytest.mark.parametrize("name,on_detector", SETTABLE_FIELDS,
+                         ids=[name for name, _ in SETTABLE_FIELDS])
+def test_simulate_set_lands_in_batch_header(capsys, tmp_path, name, on_detector):
+    path = simulate(capsys, tmp_path, "--n-shots", "5", "--set", f"{name}=0.25")
+    with open(path) as fh:
+        chain = json.loads(fh.readline()[2:])["chain"]
+    assert (chain["detector"] if on_detector else chain)[name] == 0.25
+    assert chain["detector"]["kind"] == ("homodyne" if on_detector else "intensity")
+
+
+# sha256 of the batch CSV and the run JSON `simulate` writes under ./out.
+SIMULATE_DIGESTS = {
+    "intensity": (
+        ["--state", "sq", "--n-shots", "300", "--displacement", "100"],
+        "batch_sq_0",
+        "500d0ecf4fa955ea38f20813703e5346deda817b14305314e4167ce695b718a8",
+        "0834dde810a93e474767073815bf9739f63cd9c81a1d3bdb86a48fa4ea4d6b17",
+    ),
+    "homodyne": (
+        ["--state", "fock2", "--detector", "homodyne", "--n-shots", "300",
+         "--set", "efficiency=0.8", "--set", "electronic_noise=0.1", "--seed", "5"],
+        "batch_fock2_5",
+        "8c749567bebc27aeae67306440c437c6df04591de8a7aac44e78acfb4453530e",
+        "1921e751e05624f1f946b46572ebb29ad96ce0f73a8277a48f6f586778777c9a",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIMULATE_DIGESTS))
+def test_simulate_output_digests(capsys, tmp_path, monkeypatch, kind):
+    argv, stem, csv_digest, json_digest = SIMULATE_DIGESTS[kind]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", "--out-dir", "out", *argv)
+    assert code == EXIT_OK, err
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / (stem + ext)).read_bytes()).hexdigest()
+        for ext in (".csv", ".json")
+    )
+    assert digests == (csv_digest, json_digest)
 
 
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
@@ -224,12 +273,19 @@ def test_reconstruct_rejects_non_finite_outcomes(capsys, tmp_path, bad):
 @pytest.mark.parametrize("flag,value", [
     ("--displacement", "50"), ("--gain", "3"), ("--output-noise", "1"),
     ("--detector", "homodyne"), ("--state", "mix"), ("--n-shots", "7"), ("--seed", "3"),
+    ("--set", "gain=3"), ("--set", "state=mix"), ("--set", "detector=homodyne"),
+    ("--set", "efficiency=0.5"), ("--config", "seed = 3"), ("--config", "n_shots=7"),
+    ("--config", "output_noise = 1"), ("--config", "vacuum_noise = 0.3"),
 ])
 def test_reconstruct_rejects_flags_the_batch_header_fixes(capsys, tmp_path, flag, value):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
                      "--n-shots", "200")
+    key = value.split("=")[0].strip() if flag in ("--set", "--config") else flag[2:]
+    if flag == "--config":
+        (tmp_path / "run.cfg").write_text(f"method = displaced\n{value}\n")
+        value = str(tmp_path / "run.cfg")
     err = _reconstruct_exit(capsys, tmp_path, batch, flag, value)
-    assert flag[2:].replace("-", "_") in err and "batch header" in err
+    assert err.startswith(f"error: {key.replace('-', '_')}:") and "batch header" in err
 
 
 def _rename(key, new):
@@ -264,6 +320,14 @@ def _edit_header(path, edit):
         header, rest = fh.readline(), fh.read()
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(edit(json.loads(header[2:]))) + "\n" + rest)
+
+
+def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                     "--n-shots", "200")
+    err = _reconstruct_exit(capsys, tmp_path, batch, "--bin-width", "1.2e-6")
+    assert "cap" in err
+    assert not list(tmp_path.glob("recon_*"))
 
 
 def test_simulate_overflowing_chain_exits_with_config_error(capsys, tmp_path):

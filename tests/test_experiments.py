@@ -152,11 +152,9 @@ def test_std_of_mean_shrinks_with_repeats():
 def test_gain_sweep_params_fix_fold_distance():
     base = ChainParams()
     for gain in (1.0, 4.0, 7.0):
-        displaced = _gain_sweep_params(base, gain, "displaced")
+        displaced = _gain_sweep_params(base, gain)
         assert displaced.gain == gain
         assert fold_displacement(displaced) == pytest.approx(GAIN_SWEEP_FOLD_D, rel=1e-12)
-        standard = _gain_sweep_params(base, gain, "standard")
-        assert standard.displacement == 0.0
 
 
 def test_gain_sweep_runs_and_summarizes():

@@ -11,8 +11,9 @@ from opatomo.hist import (
     fidelity,
     fidelity_from_masses,
 )
-from opatomo.states import SourceState, gaussian_1d, preset
+from opatomo.states import SourceState, preset
 from opatomo.streams import stream
+from state_helpers import gaussian_1d
 
 
 # -- binning -------------------------------------------------------------------

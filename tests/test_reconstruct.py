@@ -24,7 +24,8 @@ from opatomo.reconstruct import (
     standard_reconstruct,
     unfold_fold_samples,
 )
-from opatomo.states import SourceState, gaussian_1d, preset
+from opatomo.states import SourceState, preset
+from state_helpers import gaussian_1d
 
 
 def noiseless(**overrides) -> ChainParams:
@@ -116,6 +117,23 @@ def test_noise_equivalent_std_noiseless_is_zero():
 def test_near_zero_cut():
     assert near_zero_cut(ChainParams()) == pytest.approx(0.40329709503271144, rel=1e-12)
     assert near_zero_cut(noiseless()) == 0.0
+
+
+@pytest.mark.parametrize("displacement", [0.0, 20.0])
+def test_near_zero_fraction_counts_fold_coordinates_below_the_cut(displacement):
+    params = ChainParams(displacement=displacement)
+    batch = run_batch(preset("sq"), params, 20_000, 7)
+    scale = math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
+    fold = np.sqrt(np.clip(batch.outcomes, 0.0, None) / scale)
+    count = np.count_nonzero(fold < near_zero_cut(params))
+    assert count > 0
+    assert near_zero_fraction(batch) == count / batch.n_shots
+
+
+def test_near_zero_fraction_is_zero_without_output_noise():
+    batch = run_batch(preset("sq"), ChainParams(output_noise=0.0), 20_000, 7)
+    assert (batch.outcomes < 0.0).any()
+    assert near_zero_fraction(batch) == 0.0
 
 
 def test_displaced_passes_positivity_far_from_fold():

@@ -10,15 +10,15 @@ from opatomo.states import (
     MAX_FOCK,
     VACUUM_VARIANCE,
     GaussianComponent,
+    PRESETS,
     SourceState,
-    gaussian_1d,
     hermite_functions,
     preset,
-    preset_names,
 )
 from opatomo.streams import stream
+from state_helpers import gaussian_1d, marginal_variance
 
-CATALOG = tuple(preset_names())
+CATALOG = tuple(PRESETS)
 
 
 # -- frozen point oracles ----------------------------------------------------
@@ -35,7 +35,7 @@ def test_fock1_pdf_vanishes_at_origin():
 
 def test_fock2_variance_formula_and_integral():
     st2 = preset("fock2")
-    assert st2.marginal_variance() == pytest.approx(1.25, rel=1e-12)
+    assert marginal_variance(st2) == pytest.approx(1.25, rel=1e-12)
     # Independent oracle: numeric second moment of the pdf.
     second, _ = quad(lambda x: x * x * float(st2.marginal_pdf(x)), -9, 9, limit=200)
     assert second == pytest.approx(1.25, abs=1e-7)
@@ -145,7 +145,7 @@ def test_mixture_component_selection():
     x, _ = state.sample_xp(400_000, stream(16, 0))
     # Mixture mean is zero by symmetry of the +-0.2 displacements.
     assert abs(float(np.mean(x))) < 5e-3
-    assert float(np.var(x)) == pytest.approx(state.marginal_variance(), rel=0.02)
+    assert float(np.var(x)) == pytest.approx(marginal_variance(state), rel=0.02)
 
 
 # -- hermite machinery -------------------------------------------------------
@@ -235,4 +235,4 @@ def test_mixture_moments_close_under_weighting(parts):
     mean = sum((m for _, m in parts)) / n
     second = sum((std * std + m * m) for std, m in parts) / n
     assert state.marginal_mean() == pytest.approx(mean, abs=1e-12)
-    assert state.marginal_variance() == pytest.approx(second - mean * mean, abs=1e-12)
+    assert marginal_variance(state) == pytest.approx(second - mean * mean, abs=1e-12)
