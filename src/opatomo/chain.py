@@ -12,8 +12,8 @@ detectors:
   noise mixes the vacuum admitted by the imperfect LO port with electronic
   noise.
 
-All randomness comes from the caller's Generator; the draw order inside a
-shot function is fixed and documented so batches are reproducible.
+A shot function draws nothing: it reads a block of standard normals whose
+row order is fixed and documented, so batches are reproducible.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "draw_chunk",
     "apply_chunk",
     "BATCH_CHUNK",
+    "CHAIN_NORMALS",
 ]
 
 # Shots are partitioned into fixed-size chunks, each with its own sub-stream,
@@ -160,51 +161,44 @@ def _get(obj, dotted):
     return obj
 
 
-def _incoupled(x, p, params: ChainParams, rng: np.random.Generator, n: int):
-    # eps_in is drawn independently for each quadrature. Standard normals are
-    # drawn explicitly and scaled so the stream consumption does not depend on
-    # the parameter values (keeps paired sweeps paired).
-    root_t = math.sqrt(params.input_transmittance)
-    eps_x = params.input_noise * rng.standard_normal(n)
-    eps_p = params.input_noise * rng.standard_normal(n)
-    return root_t * np.asarray(x, dtype=float) + eps_x, root_t * np.asarray(p, dtype=float) + eps_p
-
-
-def intensity_shot(x, p, params: ChainParams, rng: np.random.Generator) -> np.ndarray:
+def intensity_shot(x, p, params: ChainParams, normals: np.ndarray) -> np.ndarray:
     """Intensity outcomes for quadrature pairs (x, p); scalar or array alike.
 
-    Draw order: eps_in(x), eps_in(p), gain, output transmittance, detector
-    noise. The per-shot gain is clipped at 0, the per-shot transmittance to
-    (0, 1]; the detector noise is never clipped, so outcomes can be negative.
+    ``normals`` is a (CHAIN_NORMALS, n) block of standard normals, read row by
+    row in draw order: eps_in(x), eps_in(p), gain, output transmittance,
+    detector noise.  The rows are scaled here, so one block serves every
+    parameter value (keeps paired sweeps paired).  The per-shot gain is clipped at 0, the per-shot transmittance to (0, 1]; the
+    detector noise is never clipped, so outcomes can be negative.
     """
-    n = np.broadcast(x, p).size
-    X, P = _incoupled(x, p, params, rng, n)
-    g = np.maximum(params.gain + params.gain_jitter * rng.standard_normal(n), 0.0)
+    root_t = math.sqrt(params.input_transmittance)
+    X = root_t * np.asarray(x, dtype=float) + params.input_noise * normals[0]
+    P = root_t * np.asarray(p, dtype=float) + params.input_noise * normals[1]
+    g = np.maximum(params.gain + params.gain_jitter * normals[2], 0.0)
     t = np.clip(
-        params.output_transmittance + params.output_transmittance_jitter * rng.standard_normal(n),
+        params.output_transmittance + params.output_transmittance_jitter * normals[3],
         _MIN_TRANSMITTANCE, 1.0,
     )
-    noise = params.output_noise * rng.standard_normal(n)
+    noise = params.output_noise * normals[4]
     amplified = np.exp(g) * X + params.displacement
     deamplified = np.exp(-g) * P
     return t * (amplified**2 + deamplified**2 - 0.5) + noise
 
 
-def homodyne_shot(x, p, params: ChainParams, rng: np.random.Generator) -> np.ndarray:
+def homodyne_shot(x, p, params: ChainParams, normals: np.ndarray) -> np.ndarray:
     """Homodyne current for quadrature pairs; p never reaches this detector.
 
-    Draw order: eps_in(x), gain, vacuum admixture, electronic noise.
+    Reads the first four rows of ``normals`` in draw order: eps_in(x), gain,
+    vacuum admixture, electronic noise.
     """
     det = params.detector
     if not isinstance(det, HomodyneDetector):
         raise ConfigError("detector", "homodyne_shot needs a HomodyneDetector")
-    n = np.broadcast(x, p).size
-    eps_x = params.input_noise * rng.standard_normal(n)
-    X = math.sqrt(params.input_transmittance) * np.asarray(x, dtype=float) + eps_x
-    g = np.maximum(params.gain + params.gain_jitter * rng.standard_normal(n), 0.0)
+    root_t = math.sqrt(params.input_transmittance)
+    X = root_t * np.asarray(x, dtype=float) + params.input_noise * normals[0]
+    g = np.maximum(params.gain + params.gain_jitter * normals[1], 0.0)
     noise = (
-        math.sqrt(1.0 - det.efficiency) * det.vacuum_noise * rng.standard_normal(n)
-        + det.electronic_noise * rng.standard_normal(n)
+        math.sqrt(1.0 - det.efficiency) * det.vacuum_noise * normals[2]
+        + det.electronic_noise * normals[3]
     )
     amplified = np.exp(g) * X + params.displacement
     return (math.sqrt(det.efficiency) * amplified + noise) * det.lo_amplitude
@@ -283,17 +277,6 @@ class ShotBatch:
 CHAIN_NORMALS = 5
 
 
-class _Replay:
-    """Stand-in Generator for the shot functions: each ``standard_normal``
-    call returns the next row of pre-drawn normals, in draw order."""
-
-    def __init__(self, normals: np.ndarray):
-        self._rows = iter(normals)
-
-    def standard_normal(self, n: int) -> np.ndarray:
-        return next(self._rows)
-
-
 def chunk_sizes(n_shots: int) -> list[int]:
     """Shot counts of the BATCH_CHUNK-sized chunks an n_shots batch spans."""
     sizes = [BATCH_CHUNK] * (n_shots // BATCH_CHUNK)
@@ -308,8 +291,8 @@ def draw_chunk(state: SourceState, seed: int, index: int, count: int) -> tuple:
 
     Sub-stream (seed, index) yields the source draws first, then the chain's
     normals.  A block equals CHAIN_NORMALS successive ``standard_normal(count)``
-    draws, and the shot functions scale the normals only after drawing them,
-    so one chunk's draws serve every chain setting and either detector.
+    draws, and the shot functions scale its rows themselves, so one chunk's
+    draws serve every chain setting and either detector.
     """
     rng = stream(seed, index)
     x, p = state.sample_xp(count, rng)
@@ -319,7 +302,7 @@ def draw_chunk(state: SourceState, seed: int, index: int, count: int) -> tuple:
 def apply_chunk(draws: tuple, params: ChainParams) -> np.ndarray:
     """Outcomes of one chunk's ``draw_chunk`` draws through the chain ``params``."""
     x, p, normals = draws
-    return _shot_fn(params)(x, p, params, _Replay(normals))
+    return _shot_fn(params)(x, p, params, normals)
 
 
 def run_batch(

@@ -24,7 +24,6 @@ from .chain import (
     ChainParams,
     ConfigError,
     HomodyneDetector,
-    IntensityDetector,
     ShotBatch,
     run_batch,
 )
@@ -106,70 +105,58 @@ def _field_casters(cls, skip: tuple[str, ...] = ()) -> dict:
 _CHAIN_FIELDS = _field_casters(ChainParams)
 _DETECTOR_FIELDS = _field_casters(HomodyneDetector, skip=("kind",))
 _RUN_FIELDS = _field_casters(RunConfig)
+_SETTINGS = {**_RUN_FIELDS, **_CHAIN_FIELDS, **_DETECTOR_FIELDS}
+# Settings that also have a flag of their own.
+_FLAGS = (*_RUN_FIELDS, *_CHAIN_FIELDS)
 
 # Keys a batch header fixes; reconstruct refuses them from every source.
 _HEADER_KEYS = ("state", "detector", "n_shots", "seed", *_CHAIN_FIELDS, *_DETECTOR_FIELDS)
 
 
-def _header_fixed(key: str) -> ConfigError:
-    return ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
+def build_config(args: argparse.Namespace, refused: tuple[str, ...] = ()) -> RunConfig:
+    """The validated run settings of a command line.
 
-
-def _apply_assignment(config: RunConfig, item: str, where: str,
-                      refused: tuple[str, ...] = ()) -> None:
-    """Apply one ``key=value`` line of a config file or one --set value;
-    ``where`` names it in errors, and a key in ``refused`` is an error."""
-    if "=" not in item:
-        raise ConfigError(where, "expected key=value")
-    key, raw = (part.strip() for part in item.split("=", 1))
-    if key in refused:
-        raise _header_fixed(key)
-    if key in _RUN_FIELDS:
-        setattr(config, key, _RUN_FIELDS[key](raw))
-    elif key in _CHAIN_FIELDS:
-        config.params = dataclasses.replace(config.params, **{key: _CHAIN_FIELDS[key](raw)})
-    elif key in _DETECTOR_FIELDS:
-        det = config.params.detector
-        if not isinstance(det, HomodyneDetector):
-            det = HomodyneDetector()
-        det = dataclasses.replace(det, **{key: _DETECTOR_FIELDS[key](raw)})
-        config.params = dataclasses.replace(config.params, detector=det)
-        config.detector = "homodyne"
-    else:
-        raise ConfigError(key, "unknown configuration key")
-
-
-def _load_config(path: str | None, assignments: list[str],
-                 refused: tuple[str, ...] = ()) -> RunConfig:
-    config = RunConfig()
-    if path:
-        with open(path) as fh:
+    ``--config`` lines come first, then ``--set`` items, then flags; a later
+    source overrides an earlier one.  Every setting, from any source, is
+    refused if its key is in ``refused`` and cast by its field's caster.
+    Homodyne detector fields imply ``detector=homodyne``; with
+    ``detector=intensity`` they are an error.
+    """
+    lines = []
+    if args.config:
+        with open(args.config) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if line:
-                    _apply_assignment(config, line, f"{path}:{lineno}", refused)
-    for item in assignments:
-        _apply_assignment(config, item, item, refused)
-    return config
+                    lines.append((line, f"{args.config}:{lineno}"))
+    lines += [(item, item) for item in args.set or []]
+    items = []
+    for line, where in lines:
+        if "=" not in line:
+            raise ConfigError(where, "expected key=value")
+        items.append(tuple(part.strip() for part in line.split("=", 1)))
+    items += [(key, getattr(args, key)) for key in _FLAGS if getattr(args, key) is not None]
 
+    given = {}
+    for key, raw in items:
+        if key in refused:
+            raise ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
+        if key not in _SETTINGS:
+            raise ConfigError(key, "unknown configuration key")
+        try:
+            given[key] = _SETTINGS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
 
-def _finalize(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Fold command-line flags (highest precedence) into the config."""
-    for key in _RUN_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    chain_updates = {
-        key: getattr(args, key)
-        for key in _CHAIN_FIELDS
-        if getattr(args, key, None) is not None
-    }
-    if chain_updates:
-        config.params = dataclasses.replace(config.params, **chain_updates)
-    if config.detector == "homodyne" and not isinstance(config.params.detector, HomodyneDetector):
-        config.params = dataclasses.replace(config.params, detector=HomodyneDetector())
-    if config.detector == "intensity" and not isinstance(config.params.detector, IntensityDetector):
-        config.params = dataclasses.replace(config.params, detector=IntensityDetector())
+    homodyne = {key: given.pop(key) for key in _DETECTOR_FIELDS if key in given}
+    chain = {key: given.pop(key) for key in _CHAIN_FIELDS if key in given}
+    given.setdefault("detector", "homodyne" if homodyne else "intensity")
+    if given["detector"] == "homodyne":
+        chain["detector"] = HomodyneDetector(**homodyne)
+    elif homodyne:
+        raise ConfigError(next(iter(homodyne)),
+                          f"is a homodyne setting, but detector={given['detector']}")
+    config = RunConfig(**given, params=ChainParams(**chain))
     config.validate()
     return config
 
@@ -179,7 +166,7 @@ def _stem(config: RunConfig) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _finalize(_load_config(args.config, args.set or []), args)
+    config = build_config(args)
     batch = run_batch(preset(config.state), config.params, config.n_shots, config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     stem = os.path.join(config.out_dir, _stem(config))
@@ -191,10 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    for key in _HEADER_KEYS:
-        if getattr(args, key, None) is not None:
-            raise _header_fixed(key)
-    config = _finalize(_load_config(args.config, args.set or [], _HEADER_KEYS), args)
+    config = build_config(args, _HEADER_KEYS)
     batch = ShotBatch.from_csv(args.batch)
     if batch.state_label not in PRESETS:
         raise ConfigError(
@@ -273,7 +257,7 @@ def _run_sweep(run, config: RunConfig, repeats: int, experiment: str,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _finalize(_load_config(args.config, args.set or []), args)
+    config = build_config(args)
     name, param, default = _SWEEP_KINDS[args.kind]
     if param is None:
         if not args.param or not args.grid:
@@ -285,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_squeeze(args: argparse.Namespace) -> int:
-    config = _finalize(_load_config(args.config, args.set or []), args)
+    config = build_config(args)
     if config.params.displacement == 0.0:
         config.params = dataclasses.replace(config.params, displacement=100.0)
     m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M))
@@ -304,15 +288,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="config assignment (repeatable; overrides --config)")
-    parser.add_argument("--state", help="source-state preset")
-    parser.add_argument("--method", help="reconstruction method")
-    parser.add_argument("--detector", choices=("intensity", "homodyne"))
-    parser.add_argument("--n-shots", dest="n_shots", type=int)
-    parser.add_argument("--bin-width", dest="bin_width", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    for name, caster in _CHAIN_FIELDS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=caster)
+    for name in _FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}")
 
 
 def build_parser() -> argparse.ArgumentParser:

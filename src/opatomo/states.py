@@ -30,10 +30,8 @@ __all__ = [
 VACUUM_VARIANCE = 0.25
 MAX_FOCK = 20
 
-# Inverse-CDF sampling uses linear interpolation on this many grid nodes;
-# the CDF cache itself is finer so that cdf values are good to ~1e-10.
+# Inverse-CDF sampling uses linear interpolation on this many grid nodes.
 _SAMPLE_GRID = 1 << 14
-_CDF_GRID = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,16 +114,13 @@ def _cumulative_quadratic(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fock_cdf_interp(n: int):
-    # Imported here: only Fock CDFs need it, and it dominates import time.
-    from scipy.interpolate import PchipInterpolator
-
-    half = _fock_half_width(n)
-    grid = np.linspace(-half, half, _CDF_GRID + 1)
-    cum = _cumulative_quadratic(_fock_pdf(n, grid), grid[1] - grid[0])
-    cum /= cum[-1]
-    return PchipInterpolator(grid, cum, extrapolate=False)
+def _fock_cdf(n: int, x: np.ndarray) -> np.ndarray:
+    # Exact.  With u = sqrt(2) x, d/du (psi_{k-1} psi_k) = sqrt(2k) (psi_{k-1}^2 - psi_k^2),
+    # and psi_0^2 integrates to Phi(2x), so
+    # F_n(x) = Phi(2x) - sum_{k=1..n} psi_{k-1}(u) psi_k(u) / sqrt(2k).
+    psi = hermite_functions(n, math.sqrt(2.0) * x)
+    weights = 1.0 / np.sqrt(2.0 * np.arange(1, n + 1))
+    return ndtr(2.0 * x) - np.tensordot(weights, psi[:-1] * psi[1:], axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -192,9 +187,7 @@ class SourceState:
     def marginal_cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "fock":
-            half = _fock_half_width(self.fock_n)
-            interp = _fock_cdf_interp(self.fock_n)
-            return np.clip(interp(np.clip(x, -half, half)), 0.0, 1.0)
+            return np.clip(_fock_cdf(self.fock_n, x), 0.0, 1.0)
         out = np.zeros_like(x)
         for c in self.components:
             m = c.mean_along(self.theta)

@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opatomo.chain import ChainParams, HomodyneDetector, homodyne_shot, run_batch
+from opatomo.chain import CHAIN_NORMALS, ChainParams, HomodyneDetector, homodyne_shot, run_batch
 from opatomo.distill import distillable_variance, fit_parabola, select_peak
 from opatomo.experiments import SweepSpec, robustness_sweep, sweep_displacement, sweep_gain, homodyne_comparison
 from opatomo.hist import (
@@ -241,7 +241,8 @@ def test_acceptance_4b_saturated_band(report, saturated_levels):
 def test_ideal_homodyne_chain_outputs_x():
     """The sampling floor's chain hands the source draws through bit for bit."""
     x = np.random.default_rng(3).normal(size=1000)
-    out = homodyne_shot(x, np.zeros_like(x), IDEAL_HOMODYNE, np.random.default_rng(4))
+    normals = np.random.default_rng(4).standard_normal((CHAIN_NORMALS, 1000))
+    out = homodyne_shot(x, np.zeros_like(x), IDEAL_HOMODYNE, normals)
     assert np.array_equal(out, x)
 
 

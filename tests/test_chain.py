@@ -6,6 +6,7 @@ import pytest
 
 from opatomo.chain import (
     BATCH_CHUNK,
+    CHAIN_NORMALS,
     ChainParams,
     ConfigError,
     HomodyneDetector,
@@ -37,22 +38,27 @@ def noiseless(**overrides) -> ChainParams:
     return ChainParams(**base)
 
 
+def normals(seed: int, n: int = 1) -> np.ndarray:
+    """The block of chain normals a shot function reads for n shots."""
+    return stream(seed, 0).standard_normal((CHAIN_NORMALS, n))
+
+
 # -- intensity point oracles -------------------------------------------------
 
 def test_intensity_origin_offset():
-    out = intensity_shot(0.0, 0.0, noiseless(), stream(0, 0))
+    out = intensity_shot(0.0, 0.0, noiseless(), normals(0))
     assert float(out[0]) == pytest.approx(-0.05, abs=1e-15)
 
 
 def test_intensity_unit_input():
     # 0.1 * (e^8 - 1/2), frozen from direct evaluation.
-    out = intensity_shot(1.0, 0.0, noiseless(), stream(0, 0))
+    out = intensity_shot(1.0, 0.0, noiseless(), normals(0))
     assert float(out[0]) == pytest.approx(298.04579870417285, rel=1e-12)
 
 
 def test_intensity_with_displacement():
     # 0.1 * ((e^4 + 100)^2 - 1/2), frozen from direct evaluation.
-    out = intensity_shot(1.0, 0.0, noiseless(displacement=100.0), stream(0, 0))
+    out = intensity_shot(1.0, 0.0, noiseless(displacement=100.0), normals(0))
     assert float(out[0]) == pytest.approx(2390.0087993670577, rel=1e-12)
 
 
@@ -60,14 +66,14 @@ def test_intensity_noiseless_closed_form_on_arrays():
     params = noiseless(gain=2.0, output_transmittance=0.7)
     x = np.linspace(-2, 2, 9)
     p = np.linspace(1, -1, 9)
-    out = intensity_shot(x, p, params, stream(1, 0))
+    out = intensity_shot(x, p, params, normals(1, 9))
     expected = 0.7 * (np.exp(4.0) * x**2 + np.exp(-4.0) * p**2 - 0.5)
     assert np.allclose(out, expected, rtol=1e-13)
 
 
 def test_intensity_outcomes_can_be_negative():
     params = noiseless(output_noise=3.0)
-    out = intensity_shot(np.zeros(4000), np.zeros(4000), params, stream(2, 0))
+    out = intensity_shot(np.zeros(4000), np.zeros(4000), params, normals(2, 4000))
     assert np.min(out) < 0.0
 
 
@@ -75,14 +81,14 @@ def test_per_shot_gain_clipped_at_zero():
     # With x=1, p=0 and huge gain jitter, N = t*(e^{2g} - 1/2) with g >= 0,
     # so outcomes can never fall below t/2.
     params = noiseless(gain=0.0, gain_jitter=5.0, output_transmittance=1.0)
-    out = intensity_shot(np.ones(20_000), np.zeros(20_000), params, stream(3, 0))
+    out = intensity_shot(np.ones(20_000), np.zeros(20_000), params, normals(3, 20_000))
     assert np.min(out) >= 0.5 - 1e-12
 
 
 def test_per_shot_transmittance_clipped_to_unit_interval():
     params = noiseless(gain=0.0, output_transmittance=0.5,
                        output_transmittance_jitter=10.0)
-    out = intensity_shot(np.ones(20_000), np.zeros(20_000), params, stream(4, 0))
+    out = intensity_shot(np.ones(20_000), np.zeros(20_000), params, normals(4, 20_000))
     # N = t * (1 - 1/2) = t/2 with t in (0, 1].
     assert np.max(out) <= 0.5 + 1e-12
     assert np.min(out) > 0.0
@@ -102,34 +108,34 @@ def hometers(**overrides) -> ChainParams:
 
 
 def test_homodyne_zero_input():
-    out = homodyne_shot(0.0, 0.0, hometers(), stream(0, 0))
+    out = homodyne_shot(0.0, 0.0, hometers(), normals(0))
     assert float(out[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_homodyne_unit_input():
     # sqrt(0.5) * e^4, frozen from direct evaluation.
-    out = homodyne_shot(1.0, 0.0, hometers(), stream(0, 0))
+    out = homodyne_shot(1.0, 0.0, hometers(), normals(0))
     assert float(out[0]) == pytest.approx(38.606722128676815, rel=1e-12)
 
 
 def test_homodyne_lo_amplitude_scales_current():
-    a = homodyne_shot(1.3, 0.0, hometers(lo_amplitude=1.0), stream(5, 0))
-    b = homodyne_shot(1.3, 0.0, hometers(lo_amplitude=2.0), stream(5, 0))
+    a = homodyne_shot(1.3, 0.0, hometers(lo_amplitude=1.0), normals(5))
+    b = homodyne_shot(1.3, 0.0, hometers(lo_amplitude=2.0), normals(5))
     assert float(b[0]) == pytest.approx(2.0 * float(a[0]), rel=1e-13)
 
 
 def test_homodyne_affine_in_x():
     params = hometers(efficiency=0.8, input_transmittance=0.9)
     x1, x2 = 1.7, -0.4
-    i1 = homodyne_shot(x1, 0.0, params, stream(6, 0))
-    i2 = homodyne_shot(x2, 0.0, params, stream(6, 0))
+    i1 = homodyne_shot(x1, 0.0, params, normals(6))
+    i2 = homodyne_shot(x2, 0.0, params, normals(6))
     slope = math.exp(4.0) * math.sqrt(0.8 * 0.9)
     assert float(i1[0] - i2[0]) == pytest.approx(slope * (x1 - x2), rel=1e-12)
 
 
 def test_homodyne_requires_homodyne_detector():
     with pytest.raises(ConfigError):
-        homodyne_shot(0.0, 0.0, noiseless(), stream(0, 0))
+        homodyne_shot(0.0, 0.0, noiseless(), normals(0))
 
 
 # -- batches -------------------------------------------------------------------
@@ -174,7 +180,7 @@ def test_one_chunk_draw_replays_either_shot_function(shot, detector):
     state, params = preset("sq"), ChainParams(displacement=30.0, detector=detector)
     rng = stream(4, 1)
     x, p = state.sample_xp(1_000, rng)
-    direct = shot(x, p, params, rng)
+    direct = shot(x, p, params, rng.standard_normal((CHAIN_NORMALS, 1_000)))
     assert np.array_equal(apply_chunk(draw_chunk(state, 4, 1, 1_000), params), direct)
 
 

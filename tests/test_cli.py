@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 from opatomo.chain import ChainParams, HomodyneDetector
-from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, main
+from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, build_parser, main
 from opatomo.experiments import (
     SweepSpec,
     homodyne_comparison,
@@ -89,6 +90,51 @@ def test_config_file_set_and_flag_precedence(capsys, tmp_path):
     with open(path) as fh:
         header = json.loads(fh.readline()[2:])
     assert header["chain"]["displacement"] == 100.0
+
+
+# The option strings every command that runs the chain takes, and each
+# command's own; pinned so that deriving flags from the settings dataclasses
+# can neither rename nor drop one.
+COMMON_OPTIONS = [
+    "--bin-width", "--config", "--detector", "--displacement", "--gain", "--gain-jitter",
+    "--help", "--input-noise", "--input-transmittance", "--method", "--n-shots", "--out-dir",
+    "--output-noise", "--output-transmittance", "--output-transmittance-jitter", "--seed",
+    "--set", "--state", "-h",
+]
+COMMAND_OPTIONS = {
+    "simulate": COMMON_OPTIONS,
+    "reconstruct": COMMON_OPTIONS + ["--batch", "--batch2"],
+    "sweep": COMMON_OPTIONS + ["--grid", "--kind", "--methods", "--param", "--repeats"],
+    "squeeze": COMMON_OPTIONS + ["--m", "--repeats"],
+    "presets": ["--help", "-h"],
+}
+
+
+def test_command_options_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(s for action in parser._actions for s in action.option_strings)
+        for name, parser in sub.choices.items()
+    }
+    assert options == {name: sorted(opts) for name, opts in COMMAND_OPTIONS.items()}
+
+
+@pytest.mark.parametrize("extra,config,key", [
+    (["--set", "efficiency=0.5", "--detector", "intensity"], None, "efficiency"),
+    ([], "efficiency = 0.5\ndetector = intensity\n", "efficiency"),
+    (["--set", "n_shots=x"], None, "n_shots"),
+    ([], "gain = abc\n", "gain"),
+    (["--gain", "abc"], None, "gain"),
+], ids=["homodyne-field-flags", "homodyne-field-config", "cast-set", "cast-config", "cast-flag"])
+def test_bad_setting_exits_naming_its_key(capsys, tmp_path, extra, config, key):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    code, _, err = run_cli(capsys, "simulate", "--n-shots", "5",
+                           "--out-dir", str(tmp_path / "out"), *extra)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key}:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 # Every chain and detector field, each set to a value no default has.

@@ -8,6 +8,7 @@ a refactor that claims byte-identical output must leave these unchanged.
 
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,6 @@ def test_sweep_output_digests(kind, tmp_path):
     result = run(replace(spec, n_shots=N_SHOTS, repeats=REPEATS))
     csv_path, json_path = result.to_csv(str(tmp_path))
     digests = tuple(
-        hashlib.sha256(open(path, "rb").read()).hexdigest() for path in (csv_path, json_path)
+        hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (csv_path, json_path)
     )
     assert digests == GOLDEN[kind]

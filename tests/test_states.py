@@ -59,6 +59,20 @@ def test_fock_cdf_limits():
     assert float(f1.marginal_cdf(-50.0)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, MAX_FOCK])
+def test_fock_cdf_matches_quadrature_of_pdf(n):
+    # Each point integrates its shorter tail, where quad meets 1e-15.
+    state = SourceState.fock(n)
+    for x in np.linspace(-7.0, 7.0, 57):
+        cdf = float(state.marginal_cdf(x))
+        if x <= 0.0:
+            tail, _ = quad(lambda t: float(state.marginal_pdf(t)), -np.inf, x, epsabs=1e-15)
+            assert abs(cdf - tail) <= 1e-13, x
+        else:
+            tail, _ = quad(lambda t: float(state.marginal_pdf(t)), x, np.inf, epsabs=1e-15)
+            assert abs(1.0 - cdf - tail) <= 1e-13, x
+
+
 # -- normalization and cdf/pdf consistency -----------------------------------
 
 @pytest.mark.parametrize("name", CATALOG)
