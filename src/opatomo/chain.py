@@ -161,7 +161,24 @@ def _get(obj, dotted):
     return obj
 
 
-def intensity_shot(x, p, params: ChainParams, normals: np.ndarray) -> np.ndarray:
+def _cached(cache: dict, name: str, key: tuple, compute):
+    """``compute()``, or the value ``cache`` already holds for term ``name``
+    at the same ``key``.  A cache holds one slot per term: a new key
+    replaces the old value."""
+    slot = cache.get(name)
+    if slot is None or slot[0] != key:
+        slot = cache[name] = (key, compute())
+    return slot[1]
+
+
+def _incoupled(q, params: ChainParams, eps) -> np.ndarray:
+    root_t = math.sqrt(params.input_transmittance)
+    return root_t * np.asarray(q, dtype=float) + params.input_noise * eps
+
+
+def intensity_shot(
+    x, p, params: ChainParams, normals: np.ndarray, cache: dict | None = None
+) -> np.ndarray:
     """Intensity outcomes for quadrature pairs (x, p); scalar or array alike.
 
     ``normals`` is a (CHAIN_NORMALS, n) block of standard normals, read row by
@@ -169,38 +186,64 @@ def intensity_shot(x, p, params: ChainParams, normals: np.ndarray) -> np.ndarray
     detector noise.  The rows are scaled here, so one block serves every
     parameter value (keeps paired sweeps paired).  The per-shot gain is clipped at 0, the per-shot transmittance to (0, 1]; the
     detector noise is never clipped, so outcomes can be negative.
+
+    ``cache`` keeps the terms that do not depend on the displacement (the
+    incoupled X and P, e^g X and (e^-g P)^2, the transmittance, the noise)
+    across calls on the same x, p and normals, each keyed by the fields it
+    reads; a reused term holds the same bytes a fresh one would.
     """
-    root_t = math.sqrt(params.input_transmittance)
-    X = root_t * np.asarray(x, dtype=float) + params.input_noise * normals[0]
-    P = root_t * np.asarray(p, dtype=float) + params.input_noise * normals[1]
-    g = np.maximum(params.gain + params.gain_jitter * normals[2], 0.0)
-    t = np.clip(
-        params.output_transmittance + params.output_transmittance_jitter * normals[3],
-        _MIN_TRANSMITTANCE, 1.0,
+    cache = {} if cache is None else cache
+    incoupling = (params.input_transmittance, params.input_noise)
+    X = _cached(cache, "X", incoupling, lambda: _incoupled(x, params, normals[0]))
+
+    def gain_terms():
+        P = _cached(cache, "P", incoupling, lambda: _incoupled(p, params, normals[1]))
+        g = np.maximum(params.gain + params.gain_jitter * normals[2], 0.0)
+        return np.exp(g) * X, (np.exp(-g) * P) ** 2
+
+    gained_x, deamplified_sq = _cached(
+        cache, "intensity_gain", (params.gain, params.gain_jitter, *incoupling), gain_terms
     )
-    noise = params.output_noise * normals[4]
-    amplified = np.exp(g) * X + params.displacement
-    deamplified = np.exp(-g) * P
-    return t * (amplified**2 + deamplified**2 - 0.5) + noise
+    t = _cached(
+        cache, "t", (params.output_transmittance, params.output_transmittance_jitter),
+        lambda: np.clip(
+            params.output_transmittance + params.output_transmittance_jitter * normals[3],
+            _MIN_TRANSMITTANCE, 1.0,
+        ),
+    )
+    noise = _cached(cache, "output_noise", (params.output_noise,),
+                    lambda: params.output_noise * normals[4])
+    amplified = gained_x + params.displacement
+    return t * (amplified**2 + deamplified_sq - 0.5) + noise
 
 
-def homodyne_shot(x, p, params: ChainParams, normals: np.ndarray) -> np.ndarray:
+def homodyne_shot(
+    x, p, params: ChainParams, normals: np.ndarray, cache: dict | None = None
+) -> np.ndarray:
     """Homodyne current for quadrature pairs; p never reaches this detector.
 
     Reads the first four rows of ``normals`` in draw order: eps_in(x), gain,
-    vacuum admixture, electronic noise.
+    vacuum admixture, electronic noise.  ``cache`` works as in
+    ``intensity_shot``; the incoupled X is shared with it.
     """
     det = params.detector
     if not isinstance(det, HomodyneDetector):
         raise ConfigError("detector", "homodyne_shot needs a HomodyneDetector")
-    root_t = math.sqrt(params.input_transmittance)
-    X = root_t * np.asarray(x, dtype=float) + params.input_noise * normals[0]
-    g = np.maximum(params.gain + params.gain_jitter * normals[1], 0.0)
-    noise = (
-        math.sqrt(1.0 - det.efficiency) * det.vacuum_noise * normals[2]
-        + det.electronic_noise * normals[3]
+    cache = {} if cache is None else cache
+    incoupling = (params.input_transmittance, params.input_noise)
+    X = _cached(cache, "X", incoupling, lambda: _incoupled(x, params, normals[0]))
+    gained_x = _cached(
+        cache, "homodyne_gain", (params.gain, params.gain_jitter, *incoupling),
+        lambda: np.exp(np.maximum(params.gain + params.gain_jitter * normals[1], 0.0)) * X,
     )
-    amplified = np.exp(g) * X + params.displacement
+    noise = _cached(
+        cache, "homodyne_noise", (det.efficiency, det.vacuum_noise, det.electronic_noise),
+        lambda: (
+            math.sqrt(1.0 - det.efficiency) * det.vacuum_noise * normals[2]
+            + det.electronic_noise * normals[3]
+        ),
+    )
+    amplified = gained_x + params.displacement
     return (math.sqrt(det.efficiency) * amplified + noise) * det.lo_amplitude
 
 
@@ -299,10 +342,15 @@ def draw_chunk(state: SourceState, seed: int, index: int, count: int) -> tuple:
     return x, p, rng.standard_normal((CHAIN_NORMALS, count))
 
 
-def apply_chunk(draws: tuple, params: ChainParams) -> np.ndarray:
-    """Outcomes of one chunk's ``draw_chunk`` draws through the chain ``params``."""
+def apply_chunk(draws: tuple, params: ChainParams, cache: dict | None = None) -> np.ndarray:
+    """Outcomes of one chunk's ``draw_chunk`` draws through the chain ``params``.
+
+    Give every call on the same draws the same ``cache`` dict to reuse the
+    chain terms a setting shares with the previous ones (see
+    ``intensity_shot``); the outcomes do not change.
+    """
     x, p, normals = draws
-    return _shot_fn(params)(x, p, params, normals)
+    return _shot_fn(params)(x, p, params, normals, cache)
 
 
 def run_batch(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -84,8 +85,8 @@ class RunConfig:
             raise ConfigError("detector", f"unknown detector {self.detector!r}")
         if self.n_shots < 1:
             raise ConfigError("n_shots", "must be at least 1")
-        if self.bin_width <= 0:
-            raise ConfigError("bin_width", "must be positive")
+        if not 0.0 < self.bin_width < math.inf:
+            raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
         self.params.validate()
 
     def to_json(self) -> str:
@@ -223,10 +224,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
+def _parse_grid(text: str | None, default: tuple[float, ...], key: str) -> tuple[float, ...]:
+    """The comma-separated values of flag ``key``; ``default`` when not given."""
     if not text:
         return default
-    return tuple(float(part) for part in text.split(","))
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 # Sweep kind -> (sweep function name, swept field, default grid); robustness
@@ -265,14 +270,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         param = args.param
     methods = tuple((args.methods or "standard,displaced").split(","))
     return _run_sweep(globals()[name], config, args.repeats, args.kind.replace("-", "_"),
-                      methods, param, _parse_grid(args.grid, default))
+                      methods, param, _parse_grid(args.grid, default, "grid"))
 
 
 def cmd_squeeze(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.params.displacement == 0.0:
         config.params = dataclasses.replace(config.params, displacement=100.0)
-    m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M))
+    m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M), "m")
     return _run_sweep(squeezing_table, config, args.repeats, "squeezing", ("displaced",), "m",
                       m_grid)
 

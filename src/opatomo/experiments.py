@@ -27,6 +27,7 @@ import numpy as np
 
 from .chain import (
     ChainParams,
+    ConfigError,
     HomodyneDetector,
     IntensityDetector,
     ShotBatch,
@@ -121,8 +122,8 @@ class SweepSpec:
             raise ValueError("repeats must be at least 1")
         if self.n_shots < 1:
             raise ValueError("n_shots must be at least 1")
-        if not (self.bin_width > 0.0):
-            raise ValueError("bin_width must be positive")
+        if not 0.0 < self.bin_width < math.inf:
+            raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
         preset(self.state)  # raises on unknown preset
         self.params.validate()
 
@@ -208,16 +209,19 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     seed's batch, for every pair.
 
     Each chunk's source and chain draws are made once and applied at every
-    pair; only one chunk's draws are held at a time.  Per-chunk histograms
-    add up exactly to the histogram of the whole batch.
+    pair, and the chain terms that pairs share are computed once per chunk
+    (``apply_chunk``'s cache); only one chunk's draws and terms are held at a
+    time.  Per-chunk histograms add up exactly to the histogram of the whole
+    batch.
     """
     hists: dict = {}
     near_zero = dict.fromkeys(pairs, 0)
     for index, count in enumerate(chunk_sizes(n_shots)):
         draws = draw_chunk(state, seed, index, count)
+        cache: dict = {}
         for pair in pairs:
             params, method = pair
-            batch = ShotBatch(apply_chunk(draws, params), params, count, seed, state.label)
+            batch = ShotBatch(apply_chunk(draws, params, cache), params, count, seed, state.label)
             hist = _estimate(method, batch, bin_width)
             hists[pair] = hists[pair] + hist if pair in hists else hist
             if method == "displaced":

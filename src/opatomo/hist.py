@@ -13,6 +13,7 @@ estimated bin mass and p_i the exact marginal mass in the same bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -138,8 +139,8 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     increments the overflow counter instead.
     """
     values = np.asarray(values, dtype=float)
-    if not (bin_width > 0.0):
-        raise ValueError("bin_width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite (got {bin_width!r})")
     if hi <= lo:
         raise ValueError("hi must exceed lo")
     span = (hi - lo) / bin_width

@@ -184,6 +184,31 @@ def test_one_chunk_draw_replays_either_shot_function(shot, detector):
     assert np.array_equal(apply_chunk(draw_chunk(state, 4, 1, 1_000), params), direct)
 
 
+def test_shared_cache_keeps_outcome_bytes_and_one_array_per_term():
+    # Settings interleave gains, displacements, incoupling noises and both
+    # detectors, so every cached term is both reused and replaced.
+    n = 2_000
+    draws = draw_chunk(preset("sq"), 3, 0, n)
+    settings = [
+        ChainParams(gain=g, displacement=d, input_noise=noise, output_noise=out, detector=det)
+        for g in (3.0, 4.0)
+        for d in (0.0, 30.0)
+        for noise, out in ((0.01, 3.0), (0.2, 1.0))
+        for det in (IntensityDetector(), HomodyneDetector(efficiency=0.5, electronic_noise=0.1))
+    ]
+    order = stream(0, 0).permutation(len(settings))
+    cache: dict = {}
+    for params in [settings[i] for i in order] + settings:
+        cached = apply_chunk(draws, params, cache)
+        assert cached.tobytes() == apply_chunk(draws, params).tobytes()
+    # Eight terms: X, P, e^g X and (e^-g P)^2, the transmittance and the
+    # output noise for intensity; e^g X and the noise for homodyne.
+    arrays = [a for _, value in cache.values()
+              for a in (value if isinstance(value, tuple) else (value,))]
+    assert len(arrays) == 8
+    assert all(a.shape == (n,) for a in arrays)
+
+
 def test_batch_size_validation():
     with pytest.raises(ConfigError):
         run_batch(preset("vac"), ChainParams(), 0, seed=0)

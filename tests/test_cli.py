@@ -376,6 +376,25 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
+@pytest.mark.parametrize("command,extra,key", [
+    ("reconstruct", ["--bin-width", "inf"], "bin_width"),
+    ("reconstruct", ["--bin-width", "nan"], "bin_width"),
+    ("sweep", ["--kind", "displacement", "--bin-width", "inf"], "bin_width"),
+    ("sweep", ["--kind", "gain", "--grid", "2,abc"], "grid"),
+    ("squeeze", ["--m", "3,x"], "m"),
+], ids=["reconstruct-inf", "reconstruct-nan", "sweep-inf", "sweep-grid", "squeeze-m"])
+def test_bad_run_argument_exits_naming_its_key(capsys, tmp_path, command, extra, key):
+    argv = [command, "--out-dir", str(tmp_path / "out"), *extra]
+    if command == "reconstruct":
+        argv += ["--batch", simulate(capsys, tmp_path, "--displacement", "100", "--n-shots", "200")]
+    else:
+        argv += ["--n-shots", "200", "--repeats", "2"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key}:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_overflowing_chain_exits_with_config_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--gain", "1000", "--n-shots", "20",
                            "--out-dir", str(tmp_path))

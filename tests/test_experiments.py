@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opatomo import experiments
-from opatomo.chain import BATCH_CHUNK, ChainParams, HomodyneDetector, run_batch
+from opatomo.chain import BATCH_CHUNK, ChainParams, ConfigError, HomodyneDetector, run_batch
 from opatomo.distill import NotConcave
 from opatomo.experiments import (
     GAIN_SWEEP_FOLD_D,
@@ -77,6 +77,13 @@ def test_spec_rejects_non_positive_bin_width():
         small_spec(bin_width=0).validate()
     with pytest.raises(ValueError, match="bin_width"):
         small_spec(bin_width=-0.05).validate()
+
+
+@pytest.mark.parametrize("width", [math.inf, math.nan])
+def test_spec_rejects_non_finite_bin_width(width):
+    with pytest.raises(ConfigError) as info:
+        small_spec(bin_width=width).validate()
+    assert info.value.field == "bin_width"
 
 
 # -- output files ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,14 @@ def test_grid_must_be_integer_bins():
 def test_bin_values_rejects_non_positive_width():
     for width in (0.0, -0.05):
         with pytest.raises(ValueError, match="bin_width"):
+            bin_values([0.0], width, 0.0, 0.1)
+
+
+def test_bin_values_rejects_non_finite_width():
+    # An infinite width made an empty grid that counted every value as
+    # overflow.
+    for width in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="bin_width must be positive and finite"):
             bin_values([0.0], width, 0.0, 0.1)
 
 

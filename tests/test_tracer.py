@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from opatomo import cli, experiments, reconstruct
+from opatomo.experiments import SweepSpec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -30,3 +31,28 @@ def test_tracer_installs_every_target():
     finally:
         tracer.uninstall()
     assert (experiments.run_batch, cli.sweep_gain, reconstruct.invert_intensity) == before
+
+
+def test_every_applied_shot_is_traced():
+    # Terms cached across sweep points must not route a shot around the
+    # traced shot functions: each (chain setting, method) pair is applied,
+    # inverted and binned once per repeat shot.
+    repeats, n_shots = 2, 20_000
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        experiments.homodyne_comparison(SweepSpec(
+            "homodyne_d", "sq", ("displaced",), "displacement", (10.0, 100.0),
+            n_shots=n_shots, repeats=repeats))
+        experiments.sweep_gain(SweepSpec(
+            "gain", "sq_disp", ("standard", "displaced"), "gain", (2.0, 4.0),
+            n_shots=n_shots, repeats=repeats))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    # Two displacements x two detectors, and two gains x two methods (the
+    # standard estimator's d = 0 differs per gain).
+    pairs = 4 + 4
+    shots = metrics["chain.intensity_shot.shots"] + metrics["chain.homodyne_shot.shots"]
+    assert shots == metrics["reconstruct.invert.values"] == metrics["hist.bin_values.values"]
+    assert shots == pairs * repeats * n_shots
