@@ -147,6 +147,8 @@ class ChainParams:
             unknown = sorted(set(given) - {f.name for f in fields(cls)})
             if unknown:
                 raise ConfigError(name, f"unknown fields {unknown!r}")
+        if kind == "intensity" and det_d:
+            raise ConfigError(next(iter(det_d)), "is a homodyne setting, but detector=intensity")
         try:
             detector = HomodyneDetector(**det_d) if kind == "homodyne" else IntensityDetector()
             return ChainParams(detector=detector, **rest)

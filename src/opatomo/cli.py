@@ -31,6 +31,7 @@ from .chain import (
 from .experiments import (
     DEFAULT_DISPLACEMENT_GRID,
     DEFAULT_GAIN_GRID,
+    GAIN_SWEEP_FOLD_D,
     SQUEEZING_TABLE_M,
     SweepSpec,
     homodyne_comparison,
@@ -110,16 +111,25 @@ _SETTINGS = {**_RUN_FIELDS, **_CHAIN_FIELDS, **_DETECTOR_FIELDS}
 # Settings that also have a flag of their own.
 _FLAGS = (*_RUN_FIELDS, *_CHAIN_FIELDS)
 
-# Keys a batch header fixes; reconstruct refuses them from every source.
+# Each command's settings that it never reads, key -> why; build_config
+# refuses them from every source.  Sweep kinds add theirs in _SWEEP_KINDS.
 _HEADER_KEYS = ("state", "detector", "n_shots", "seed", *_CHAIN_FIELDS, *_DETECTOR_FIELDS)
+_RECONSTRUCT_REFUSES = dict.fromkeys(
+    _HEADER_KEYS, "is fixed by the batch header; reconstruct does not take it")
+_SIMULATE_REFUSES = dict.fromkeys(
+    ("method", "bin_width"), "simulate writes outcomes and does not reconstruct")
+_SWEEP_REFUSES = {"method": "sweeps take --methods"}
+_SQUEEZE_REFUSES = {"method": "squeeze runs the displaced estimator only", **dict.fromkeys(
+    ("input_transmittance", "input_noise"), "squeeze sets the incoupling for each variant")}
 
 
-def build_config(args: argparse.Namespace, refused: tuple[str, ...] = ()) -> RunConfig:
+def build_config(args: argparse.Namespace, refused: dict[str, str]) -> RunConfig:
     """The validated run settings of a command line.
 
     ``--config`` lines come first, then ``--set`` items, then flags; a later
     source overrides an earlier one.  Every setting, from any source, is
-    refused if its key is in ``refused`` and cast by its field's caster.
+    refused with its reason if its key is in ``refused``, and otherwise cast
+    by its field's caster.
     Homodyne detector fields imply ``detector=homodyne``; with
     ``detector=intensity`` they are an error.
     """
@@ -141,7 +151,7 @@ def build_config(args: argparse.Namespace, refused: tuple[str, ...] = ()) -> Run
     given = {}
     for key, raw in items:
         if key in refused:
-            raise ConfigError(key, "is fixed by the batch header; reconstruct does not take it")
+            raise ConfigError(key, refused[key])
         if key not in _SETTINGS:
             raise ConfigError(key, "unknown configuration key")
         try:
@@ -167,7 +177,7 @@ def _stem(config: RunConfig) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = build_config(args)
+    config = build_config(args, _SIMULATE_REFUSES)
     batch = run_batch(preset(config.state), config.params, config.n_shots, config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     stem = os.path.join(config.out_dir, _stem(config))
@@ -179,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = build_config(args, _HEADER_KEYS)
+    config = build_config(args, _RECONSTRUCT_REFUSES)
     batch = ShotBatch.from_csv(args.batch)
     if batch.state_label not in PRESETS:
         raise ConfigError(
@@ -234,16 +244,23 @@ def _parse_grid(text: str | None, default: tuple[float, ...], key: str) -> tuple
         raise ConfigError(key, str(exc)) from None
 
 
-# Sweep kind -> (sweep function name, swept field, default grid); robustness
-# sweeps take both from --param and --grid.  The function is looked up by name
-# when the command runs, so a wrapper put on this module's binding (a
-# profiler, say) sees the call.
+_FOLD_D = f"gain sweeps hold it at {GAIN_SWEEP_FOLD_D:g} input-quadrature units"
+
+# Sweep kind -> (sweep function name, swept field, default grid, refused
+# settings besides the swept field); robustness sweeps take the field and grid
+# from --param and --grid.  The function is looked up by name when the command
+# runs, so a wrapper put on this module's binding (a profiler, say) sees the
+# call.
 _SWEEP_KINDS = {
-    "displacement": ("sweep_displacement", "displacement", DEFAULT_DISPLACEMENT_GRID),
-    "gain": ("sweep_gain", "gain", DEFAULT_GAIN_GRID),
-    "robustness": ("robustness_sweep", None, ()),
-    "homodyne-d": ("homodyne_comparison", "displacement", DEFAULT_DISPLACEMENT_GRID),
-    "homodyne-gain": ("homodyne_comparison", "gain", DEFAULT_GAIN_GRID),
+    "displacement": ("sweep_displacement", "displacement", DEFAULT_DISPLACEMENT_GRID, {}),
+    "gain": ("sweep_gain", "gain", DEFAULT_GAIN_GRID, {"displacement": _FOLD_D}),
+    "robustness": ("robustness_sweep", None, (), {}),
+    "homodyne-d": ("homodyne_comparison", "displacement", DEFAULT_DISPLACEMENT_GRID, {}),
+    "homodyne-gain": ("homodyne_comparison", "gain", DEFAULT_GAIN_GRID, {
+        "displacement": _FOLD_D,
+        **dict.fromkeys(("detector", *_DETECTOR_FIELDS),
+                        "the homodyne-gain sweep sets each curve's detector"),
+    }),
 }
 
 
@@ -262,19 +279,20 @@ def _run_sweep(run, config: RunConfig, repeats: int, experiment: str,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    name, param, default = _SWEEP_KINDS[args.kind]
+    name, param, default, refused = _SWEEP_KINDS[args.kind]
     if param is None:
         if not args.param or not args.grid:
             raise ConfigError("param/grid", "robustness sweeps need --param and --grid")
         param = args.param
+    config = build_config(args, {param: f"the {args.kind} sweep sets it at every point",
+                                 **_SWEEP_REFUSES, **refused})
     methods = tuple((args.methods or "standard,displaced").split(","))
     return _run_sweep(globals()[name], config, args.repeats, args.kind.replace("-", "_"),
                       methods, param, _parse_grid(args.grid, default, "grid"))
 
 
 def cmd_squeeze(args: argparse.Namespace) -> int:
-    config = build_config(args)
+    config = build_config(args, _SQUEEZE_REFUSES)
     if config.params.displacement == 0.0:
         config.params = dataclasses.replace(config.params, displacement=100.0)
     m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M), "m")
@@ -350,9 +368,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_POSITIVITY
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,13 +115,16 @@ class SweepSpec:
 
     def validate(self) -> None:
         if not self.grid:
-            raise ValueError("grid must be non-empty")
+            raise ConfigError("grid", "must be non-empty")
         if list(self.grid) != sorted(self.grid):
-            raise ValueError("grid must be sorted ascending")
+            raise ConfigError("grid", "must be sorted ascending")
         if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
+            raise ConfigError("repeats", "must be at least 1")
         if self.n_shots < 1:
-            raise ValueError("n_shots must be at least 1")
+            raise ConfigError("n_shots", "must be at least 1")
+        for method in self.methods:
+            if method not in SWEEP_METHODS:
+                raise ConfigError("methods", f"unknown method {method!r}")
         if not 0.0 < self.bin_width < math.inf:
             raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
         preset(self.state)  # raises on unknown preset
@@ -234,12 +237,12 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
 def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
     """One row per ``(value, label, params, method, extra_aux)`` point.
 
-    The spec and the methods are validated before anything is drawn.  The
-    standard estimator has no displacement knob, so its points run at
-    d = 0.  Every point shares the spec's repeat seeds, so each repeat's
-    draws are made once and reused at every point, and a ``(params,
-    method)`` pair that recurs on the grid (the standard estimator's d = 0
-    reference, say) is evaluated once.
+    The spec is validated before anything is drawn.  The standard estimator
+    has no displacement knob, so its points run at d = 0.  Every point
+    shares the spec's repeat seeds, so each repeat's draws are made once and
+    reused at every point, and a ``(params, method)`` pair that recurs on
+    the grid (the standard estimator's d = 0 reference, say) is evaluated
+    once.
     """
     spec.validate()
     points = [
@@ -247,9 +250,6 @@ def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
         for v, label, params, m, extra in points
     ]
     pairs = list(dict.fromkeys((params, method) for _, _, params, method, _ in points))
-    for _, method in pairs:
-        if method not in SWEEP_METHODS:
-            raise ValueError(f"unknown method {method!r}")
     state = preset(spec.state)
     infs: dict = {pair: [] for pair in pairs}
     fractions: dict = {pair: [] for pair in pairs}
@@ -344,9 +344,7 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
     """Infidelity as one chain imperfection is swept, others at their
     defaults; reports the knee where the error leaves its floor."""
     if spec.param not in _ROBUSTNESS_FIELDS:
-        raise ValueError(
-            f"robustness parameter must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}"
-        )
+        raise ConfigError("param", f"must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}")
     rows = _sweep(spec, (
         (v, m, replace(spec.params, **{spec.param: float(v)}), m, {})
         for v in spec.grid

@@ -34,10 +34,6 @@ __all__ = [
 MAX_BINS = 1_000_000
 
 
-def _edges(origin: float, bin_width: float, n_bins: int) -> np.ndarray:
-    return origin + bin_width * np.arange(n_bins + 1)
-
-
 @dataclass(frozen=True)
 class QuadratureHistogram:
     """Integer counts on a uniform grid starting at `origin`.
@@ -81,10 +77,6 @@ class QuadratureHistogram:
         return self.counts.size
 
     @property
-    def edges(self) -> np.ndarray:
-        return _edges(self.origin, self.bin_width, self.n_bins)
-
-    @property
     def centers(self) -> np.ndarray:
         return self.origin + self.bin_width * (np.arange(self.n_bins) + 0.5)
 
@@ -92,10 +84,6 @@ class QuadratureHistogram:
     def masses(self) -> np.ndarray:
         """Relative frequencies nu_i."""
         return self.counts / self.n_total
-
-    @property
-    def densities(self) -> np.ndarray:
-        return self.masses / self.bin_width
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -189,26 +177,20 @@ def analytic_bins(state: SourceState, bin_width: float, lo: float, hi: float) ->
     n_bins = int(round((hi - lo) / bin_width))
     if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
         raise ValueError("grid range must be an integer number of bins")
-    edges = _edges(lo, bin_width, n_bins)
+    edges = lo + bin_width * np.arange(n_bins + 1)
     p = state.bin_probabilities(edges)
     return DensityEstimate(centers=0.5 * (edges[:-1] + edges[1:]), masses=p, bin_width=bin_width)
 
 
-def analytic_point_density(
-    state: SourceState, bin_width: float, n_half: int = 120, center: float | None = None
-) -> DensityEstimate:
+def analytic_point_density(state: SourceState, bin_width: float) -> DensityEstimate:
     """The state's exact marginal pdf evaluated at bin centers.
 
     Unlike ``analytic_bins`` this does not integrate over the bins: the pdf
-    is sampled pointwise on a grid aligned so one bin center sits exactly
-    at ``center`` (the state's marginal mean by default).  Parabola fits of
-    peak curvature prefer this reference because bin integration flattens
-    the apex and inflates the fitted variance.
+    is sampled pointwise at 241 bin centers, the middle one on the state's
+    marginal mean.  Parabola fits of peak curvature prefer this reference
+    because bin integration flattens the apex and inflates the fitted
+    variance.
     """
-    if n_half < 1:
-        raise ValueError("n_half must be at least 1")
-    if center is None:
-        center = state.marginal_mean()
-    centers = center + np.arange(-n_half, n_half + 1) * bin_width
+    centers = state.marginal_mean() + np.arange(-120, 121) * bin_width
     masses = state.marginal_pdf(centers) * bin_width
     return DensityEstimate(centers=centers, masses=masses, bin_width=bin_width)

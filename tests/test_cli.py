@@ -353,6 +353,10 @@ def _rename(key, new):
     pytest.param(lambda meta: {**meta, "n_shots": None}, "integers", id="null-n_shots"),
     pytest.param(lambda meta: {**meta, "state": ["sq"]}, "state must be a string",
                  id="state-not-a-string"),
+    pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "detector": {
+        "kind": "intensity", "efficiency": 0.5, "electronic_noise": 3.0}}},
+        "efficiency: is a homodyne setting, but detector=intensity",
+        id="homodyne-field-on-intensity"),
 ])
 def test_reconstruct_rejects_malformed_batch_header(capsys, tmp_path, edit, needle):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
@@ -382,7 +386,10 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     ("sweep", ["--kind", "displacement", "--bin-width", "inf"], "bin_width"),
     ("sweep", ["--kind", "gain", "--grid", "2,abc"], "grid"),
     ("squeeze", ["--m", "3,x"], "m"),
-], ids=["reconstruct-inf", "reconstruct-nan", "sweep-inf", "sweep-grid", "squeeze-m"])
+    ("sweep", ["--kind", "gain", "--grid", "4,2"], "grid"),
+    ("sweep", ["--kind", "homodyne-d", "--grid", "10", "--methods", "foo"], "methods"),
+], ids=["reconstruct-inf", "reconstruct-nan", "sweep-inf", "sweep-grid", "squeeze-m",
+        "sweep-grid-unsorted", "sweep-methods-unknown"])
 def test_bad_run_argument_exits_naming_its_key(capsys, tmp_path, command, extra, key):
     argv = [command, "--out-dir", str(tmp_path / "out"), *extra]
     if command == "reconstruct":
@@ -390,6 +397,67 @@ def test_bad_run_argument_exits_naming_its_key(capsys, tmp_path, command, extra,
     else:
         argv += ["--n-shots", "200", "--repeats", "2"]
     code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key}:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["sweep", "--kind", "gain", "--grid", "2"],
+                                     ["squeeze", "--m", "3"]], ids=["sweep", "squeeze"])
+def test_repeats_below_one_exits_naming_its_key(capsys, tmp_path, command):
+    code, _, err = run_cli(capsys, *command, "--repeats", "0", "--n-shots", "200",
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: repeats:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# Each command, and each sweep kind, with the settings it never reads.
+REFUSED = {
+    "simulate": (["simulate"], ("method", "bin_width")),
+    "displacement": (["sweep", "--kind", "displacement", "--grid", "100", "--repeats", "1"],
+                     ("method", "displacement")),
+    "gain": (["sweep", "--kind", "gain", "--grid", "2", "--repeats", "1"],
+             ("method", "gain", "displacement")),
+    "robustness": (["sweep", "--kind", "robustness", "--param", "output_noise", "--grid", "1",
+                    "--displacement", "100", "--repeats", "1"], ("method", "output_noise")),
+    "homodyne-d": (["sweep", "--kind", "homodyne-d", "--grid", "100", "--repeats", "1"],
+                   ("method", "displacement")),
+    "homodyne-gain": (["sweep", "--kind", "homodyne-gain", "--grid", "2", "--repeats", "1"],
+                      ("method", "gain", "displacement", "detector", "efficiency",
+                       "lo_amplitude", "vacuum_noise", "electronic_noise")),
+    "squeeze": (["squeeze", "--m", "3", "--repeats", "1"],
+                ("method", "input_transmittance", "input_noise")),
+}
+REFUSED_VALUES = {
+    "method": "standard", "bin_width": "0.1", "displacement": "50", "gain": "3",
+    "output_noise": "1", "detector": "homodyne", "efficiency": "0.5", "lo_amplitude": "2",
+    "vacuum_noise": "0.3", "electronic_noise": "0.2", "input_transmittance": "0.9",
+    "input_noise": "0.1",
+}
+# A flag where the setting has one, --set for the homodyne fields, and one
+# --config line per command.
+_HOMODYNE_FIELDS = {f.name for f in fields(HomodyneDetector)} - {"kind"}
+REFUSED_CASES = [
+    (run, key, "set" if key in _HOMODYNE_FIELDS else "flag")
+    for run, (_, keys) in REFUSED.items() for key in keys
+] + [("simulate", "bin_width", "config"), ("gain", "displacement", "config"),
+     ("squeeze", "input_noise", "config")]
+
+
+@pytest.mark.parametrize("run,key,source", REFUSED_CASES,
+                         ids=[f"{run}-{source}-{key}" for run, key, source in REFUSED_CASES])
+def test_settings_a_command_never_reads_are_refused(capsys, tmp_path, run, key, source):
+    value = REFUSED_VALUES[key]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        given = ["--config", str(tmp_path / "run.cfg")]
+    elif source == "set":
+        given = ["--set", f"{key}={value}"]
+    else:
+        given = [f"--{key.replace('_', '-')}", value]
+    code, _, err = run_cli(capsys, *REFUSED[run][0], *given, "--n-shots", "200",
+                           "--out-dir", str(tmp_path / "out"))
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: {key}:") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()

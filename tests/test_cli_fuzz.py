@@ -1,10 +1,10 @@
 """Fuzz of the command line's input boundary.
 
-``reconstruct`` reads malformed batch files (header and rows) and
-``simulate`` reads malformed ``key=value`` config files.  Whatever they hold,
-the command must exit 0, 2 or 3, write nothing to stderr but ``error:``
-lines, and raise no warning.  The examples are derandomized, so every run
-tries the same inputs.
+``reconstruct`` reads malformed batch files (header and rows), and
+``simulate``, ``squeeze`` and a gain ``sweep`` read malformed ``key=value``
+config files.  Whatever they hold, the command must exit 0, 2 or 3, write
+nothing to stderr but ``error:`` lines, and raise no warning.  The examples
+are derandomized, so every run tries the same inputs.
 """
 
 import contextlib
@@ -114,3 +114,23 @@ def test_simulate_survives_any_config_file(lines):
             fh.write("\n".join(lines) + "\n")
         _assert_clean_exit(*_run(["simulate", "--config", path, "--n-shots", "16",
                                   "--out-dir", tmp]))
+
+
+def _run_with_config(lines, argv) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        _assert_clean_exit(*_run([*argv, "--config", path, "--n-shots", "16", "--out-dir", tmp]))
+
+
+@FUZZ
+@given(lines=st.lists(config_lines, max_size=5))
+def test_squeeze_survives_any_config_file(lines):
+    _run_with_config(lines, ["squeeze", "--m", "3", "--repeats", "1"])
+
+
+@FUZZ
+@given(lines=st.lists(config_lines, max_size=5))
+def test_sweep_survives_any_config_file(lines):
+    _run_with_config(lines, ["sweep", "--kind", "gain", "--grid", "2", "--repeats", "1"])
