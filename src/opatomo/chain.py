@@ -253,6 +253,10 @@ def _shot_fn(params: ChainParams):
     return homodyne_shot if isinstance(params.detector, HomodyneDetector) else intensity_shot
 
 
+# Outcomes to_csv converts to Python floats at a time.
+_CSV_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class ShotBatch:
     """Outcomes of n_shots passes of one state through one chain setting."""
@@ -273,8 +277,9 @@ class ShotBatch:
         with open(path, "w") as fh:
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             fh.write("outcome\n")
-            for v in self.outcomes:
-                fh.write(repr(float(v)) + "\n")
+            for i in range(0, self.outcomes.size, _CSV_BLOCK):
+                block = self.outcomes[i:i + _CSV_BLOCK].tolist()
+                fh.write("\n".join(map(repr, block)) + "\n")
 
     @staticmethod
     def from_csv(path) -> "ShotBatch":
@@ -286,7 +291,10 @@ class ShotBatch:
             column = fh.readline().strip()
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
-            outcomes = np.array([float(line) for line in fh if line.strip()])
+            blocks = [np.array([])]
+            while lines := fh.readlines(1 << 20):
+                blocks.append(np.array([float(line) for line in lines if line.strip()]))
+            outcomes = np.concatenate(blocks)
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: batch header must be a JSON object")
         missing = [key for key in ("chain", "n_shots", "seed") if key not in meta]

@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+# argparse's gettext loads locale on its first message; load it with the CLI.
+import locale  # noqa: F401
 import math
 import os
 import sys
@@ -119,8 +121,13 @@ _RECONSTRUCT_REFUSES = dict.fromkeys(
 _SIMULATE_REFUSES = dict.fromkeys(
     ("method", "bin_width"), "simulate writes outcomes and does not reconstruct")
 _SWEEP_REFUSES = {"method": "sweeps take --methods"}
-_SQUEEZE_REFUSES = {"method": "squeeze runs the displaced estimator only", **dict.fromkeys(
-    ("input_transmittance", "input_noise"), "squeeze sets the incoupling for each variant")}
+_SQUEEZE_REFUSES = {
+    "method": "squeeze runs the displaced estimator only",
+    **dict.fromkeys(("input_transmittance", "input_noise"),
+                    "squeeze sets the incoupling for each variant"),
+    **dict.fromkeys(("detector", *_DETECTOR_FIELDS),
+                    "squeeze counts photons with the intensity detector only"),
+}
 
 
 def build_config(args: argparse.Namespace, refused: dict[str, str]) -> RunConfig:

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -409,7 +410,8 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
 
     rows = _sweep(spec, _homodyne_d_points(spec))
     h_means = [r.mean_infidelity for r in rows if r.method == "homodyne"]
-    band = 2.0 * float(np.median([r.std_infidelity for r in rows if r.method == "homodyne"]))
+    # statistics.median, not np.median: the latter loads numpy.ma on first use.
+    band = 2.0 * statistics.median(r.std_infidelity for r in rows if r.method == "homodyne")
     summary = {
         "homodyne_level": float(np.mean(h_means)),
         "homodyne_variation": float(max(h_means) - min(h_means)),

@@ -13,6 +13,7 @@ estimated bin mass and p_i the exact marginal mass in the same bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -155,6 +156,14 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     )
 
 
+@lru_cache(maxsize=256)
+def _bin_probabilities(state: SourceState, edges: bytes) -> np.ndarray:
+    """state.bin_probabilities on float64 edge bytes; one call per state and grid."""
+    p = state.bin_probabilities(np.frombuffer(edges))
+    p.flags.writeable = False
+    return p
+
+
 def fidelity_from_masses(
     centers: np.ndarray, masses: np.ndarray, bin_width: float, state: SourceState
 ) -> float:
@@ -162,7 +171,7 @@ def fidelity_from_masses(
     centers = np.asarray(centers, dtype=float)
     masses = np.asarray(masses, dtype=float)
     edges = np.concatenate((centers - 0.5 * bin_width, centers[-1:] + 0.5 * bin_width))
-    p = state.bin_probabilities(edges)
+    p = _bin_probabilities(state, edges.tobytes())
     bc = float(np.sqrt(np.maximum(masses, 0.0) * p).sum())
     return bc * bc
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "VACUUM_VARIANCE",
@@ -73,6 +72,71 @@ class GaussianComponent:
         rel = theta - self.squeeze_angle
         c, s = math.cos(rel), math.sin(rel)
         return self.min_variance * c * c + self.max_variance * s * s
+
+
+# -- the normal CDF ----------------------------------------------------------
+# A port of Cephes ndtr/erf/erfc: the same rational tables, branch points and
+# Horner order, with exp(-x^2) from libm (math.exp, not numpy's vectorised exp,
+# which differs in the last bit), so every value equals the compiled Cephes one
+# bit for bit (pinned in tests/test_states.py).
+
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _horner(x, coef, monic=False):
+    """coef[0] x^n + ... + coef[n], with a leading x^(n+1) when monic."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf on |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc on 1 <= x, x^2 <= MAXLOG."""
+    e = np.array([math.exp(v) for v in (-x * x).tolist()])
+    out = np.empty_like(x)
+    for part, p, q in ((x < 8.0, _ERFC_P, _ERFC_Q), (x >= 8.0, _ERFC_R, _ERFC_S)):
+        out[part] = e[part] * _horner(x[part], p) / _horner(x[part], q, monic=True)
+    return out
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF, Phi(a), elementwise."""
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    z = np.abs(x)
+    y = np.where(np.isnan(x), np.nan, 0.0)
+    small = z < _SQRT1_2
+    y[small] = 0.5 + 0.5 * _erf(x[small])
+    mid = (z >= _SQRT1_2) & (z < 1.0)
+    y[mid] = 0.5 * (1.0 - _erf(z[mid]))
+    # Beyond z^2 > MAXLOG erfc underflows to 0; the clamp keeps z^2 finite.
+    tail = (z >= 1.0) & (np.square(np.minimum(z, 64.0)) <= _MAXLOG)
+    y[tail] = 0.5 * _erfc(z[tail])
+    flip = (x > 0) & ~small
+    y[flip] = 1.0 - y[flip]
+    return y.reshape(a.shape)
 
 
 def hermite_functions(n_max: int, u: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ layout.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with the package instead.
+import numpy.random
 
 __all__ = ["stream", "derive_seed"]
 

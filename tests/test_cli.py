@@ -427,7 +427,8 @@ REFUSED = {
                       ("method", "gain", "displacement", "detector", "efficiency",
                        "lo_amplitude", "vacuum_noise", "electronic_noise")),
     "squeeze": (["squeeze", "--m", "3", "--repeats", "1"],
-                ("method", "input_transmittance", "input_noise")),
+                ("method", "input_transmittance", "input_noise", "detector", "efficiency",
+                 "lo_amplitude", "vacuum_noise", "electronic_noise")),
 }
 REFUSED_VALUES = {
     "method": "standard", "bin_width": "0.1", "displacement": "50", "gain": "3",

@@ -1,0 +1,72 @@
+"""Every command runs without scipy and loads no module inside its pass.
+
+A module loaded for the first time during a command moves its import time
+out of start-up and into the run.  Each command runs in a fresh interpreter
+that imports ``opatomo.cli``, notes ``sys.modules``, runs the command through
+``main`` and reports what the run added.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from opatomo.cli import EXIT_OK, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_CHILD = """
+import json, sys
+import opatomo.cli
+loaded = set(sys.modules)
+code = opatomo.cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "added": sorted(set(sys.modules) - loaded),
+               "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}, fh)
+"""
+
+_SMALL = ["--repeats", "1", "--n-shots", "300"]
+COMMANDS = {
+    "simulate": ["simulate", "--state", "sq", "--displacement", "100", "--n-shots", "300"],
+    "sweep-displacement": ["sweep", "--kind", "displacement", "--grid", "10,100", *_SMALL],
+    "sweep-gain": ["sweep", "--kind", "gain", "--grid", "2,3", *_SMALL],
+    "sweep-robustness": ["sweep", "--kind", "robustness", "--param", "output_noise",
+                         "--grid", "0,1", "--displacement", "100", *_SMALL],
+    "sweep-homodyne-d": ["sweep", "--kind", "homodyne-d", "--grid", "10,100", *_SMALL],
+    "sweep-homodyne-gain": ["sweep", "--kind", "homodyne-gain", "--grid", "2,3", *_SMALL],
+    "squeeze": ["squeeze", "--m", "3", *_SMALL],
+    "reconstruct-displaced": ["reconstruct", "--batch", "{sq}", "--method", "displaced"],
+    "reconstruct-double": ["reconstruct", "--batch", "{mix0}", "--batch2", "{mix1}",
+                           "--method", "double", "--bin-width", "0.2"],
+}
+
+
+@pytest.fixture(scope="module")
+def batches(tmp_path_factory) -> dict[str, str]:
+    out = tmp_path_factory.mktemp("batches")
+    for state, d, seed in (("sq", "100", "0"), ("mix", "33", "0"), ("mix", "66", "1")):
+        code = main(["simulate", "--state", state, "--displacement", d, "--n-shots", "300",
+                     "--seed", seed, "--out-dir", str(out)])
+        assert code == EXIT_OK
+    return {name: str(out / f"batch_{stem}.csv")
+            for name, stem in (("sq", "sq_0"), ("mix0", "mix_0"), ("mix1", "mix_1"))}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_runs_without_scipy_and_loads_nothing(tmp_path, batches, command):
+    argv = [arg.format(**batches) for arg in COMMANDS[command]]
+    report = tmp_path / "modules.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(report), *argv, "--out-dir", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(report.read_text())
+    assert found["code"] == EXIT_OK, proc.stderr
+    assert found["scipy"] == []
+    assert found["added"] == []

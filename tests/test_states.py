@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr as scipy_ndtr
 
 from opatomo.hist import bin_values, fidelity
 from opatomo.states import (
@@ -13,6 +14,7 @@ from opatomo.states import (
     PRESETS,
     SourceState,
     hermite_functions,
+    ndtr,
     preset,
 )
 from opatomo.streams import stream
@@ -71,6 +73,42 @@ def test_fock_cdf_matches_quadrature_of_pdf(n):
         else:
             tail, _ = quad(lambda t: float(state.marginal_pdf(t)), x, np.inf, epsabs=1e-15)
             assert abs(1.0 - cdf - tail) <= 1e-13, x
+
+
+# -- the normal CDF port -----------------------------------------------------
+
+# The branch points of Cephes ndtr on the scale of x = a / sqrt(2):
+# |x| < 1/sqrt(2) (erf), x < 1 (1 - erf), x < 8 (P/Q), x^2 <= MAXLOG (R/S).
+_BRANCHES = (math.sqrt(0.5), 1.0, 8.0, math.sqrt(7.09782712893383996843e2))
+
+
+def _ulp_walk(a: float, n: int) -> np.ndarray:
+    """The 2n + 1 doubles from n ulps below a positive a to n ulps above."""
+    return (np.array(a).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
+
+
+def test_ndtr_bit_identical_to_scipy():
+    rng = np.random.default_rng(20)
+    walks = [_ulp_walk(t * math.sqrt(2.0), 300) for t in _BRANCHES]
+    for t, walk in zip(_BRANCHES, walks):
+        # Each walk straddles its branch point on the x scale.
+        x = np.abs(walk * 0.70710678118654752440)
+        assert (x < t).any() and (x > t).any()
+    a = np.concatenate([
+        rng.uniform(-40.0, 40.0, 500_000), rng.normal(0.0, 4.0, 500_000),
+        *walks, *(-w for w in walks),
+        [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324],
+    ])
+    with np.errstate(all="raise", under="ignore"):
+        ours = ndtr(a)
+    theirs = scipy_ndtr(a)
+    np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+
+def test_ndtr_keeps_shape():
+    assert ndtr(0.25).shape == ()
+    assert ndtr(np.zeros((2, 3))).shape == (2, 3)
+    assert ndtr(np.array([])).shape == (0,)
 
 
 # -- normalization and cdf/pdf consistency -----------------------------------
