@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError("detector", f"unknown detector {self.detector!r}")
         if self.n_shots < 1:
             raise ConfigError("n_shots", "must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", f"must be in [0, 2**64) (got {self.seed!r})")
         if not 0.0 < self.bin_width < math.inf:
             raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
         self.params.validate()
@@ -130,13 +132,14 @@ _SQUEEZE_REFUSES = {
 }
 
 
-def build_config(args: argparse.Namespace, refused: dict[str, str]) -> RunConfig:
+def build_config(args: argparse.Namespace, refused: dict[str, str],
+                 defaults: dict | None = None) -> RunConfig:
     """The validated run settings of a command line.
 
-    ``--config`` lines come first, then ``--set`` items, then flags; a later
-    source overrides an earlier one.  Every setting, from any source, is
-    refused with its reason if its key is in ``refused``, and otherwise cast
-    by its field's caster.
+    The command's own ``defaults`` come first, then ``--config`` lines, then
+    ``--set`` items, then flags; a later source overrides an earlier one.
+    Every setting, from any source, is refused with its reason if its key is
+    in ``refused``, and otherwise cast by its field's caster.
     Homodyne detector fields imply ``detector=homodyne``; with
     ``detector=intensity`` they are an error.
     """
@@ -148,7 +151,7 @@ def build_config(args: argparse.Namespace, refused: dict[str, str]) -> RunConfig
                 if line:
                     lines.append((line, f"{args.config}:{lineno}"))
     lines += [(item, item) for item in args.set or []]
-    items = []
+    items = list((defaults or {}).items())
     for line, where in lines:
         if "=" not in line:
             raise ConfigError(where, "expected key=value")
@@ -299,9 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_squeeze(args: argparse.Namespace) -> int:
-    config = build_config(args, _SQUEEZE_REFUSES)
-    if config.params.displacement == 0.0:
-        config.params = dataclasses.replace(config.params, displacement=100.0)
+    config = build_config(args, _SQUEEZE_REFUSES, {"displacement": 100.0})
     m_grid = _parse_grid(args.m, tuple(float(m) for m in SQUEEZING_TABLE_M), "m")
     return _run_sweep(squeezing_table, config, args.repeats, "squeezing", ("displaced",), "m",
                       m_grid)

@@ -4,8 +4,9 @@ Every sweep is a pure function of a ``SweepSpec``: the master seed derives
 one sub-seed per repeat, and those repeat seeds are shared across grid
 points and estimation methods, so method comparisons are paired rather
 than independent; a (chain setting, method) pair that recurs in a sweep is
-evaluated once.  Each sweep lists its points and hands them to one engine,
-``_sweep``.  Results serialize to one CSV plus one JSON summary, named
+evaluated once.  Each sweep hands one engine, ``_sweep``, the chain setting
+of a grid value (and any homodyne curves); the engine builds the points.
+Results serialize to one CSV plus one JSON summary, named
 ``<experiment>_<state>_<hash>``, where the hash digests the spec.
 
 Swept displacement and gain values refer to the chain's displacement d
@@ -39,6 +40,7 @@ from .chain import (
 )
 from .distill import (
     DistillError,
+    OutOfRange,
     distillable_variance,
     fit_parabola,
     loss_corrected_variance,
@@ -123,6 +125,8 @@ class SweepSpec:
             raise ConfigError("repeats", "must be at least 1")
         if self.n_shots < 1:
             raise ConfigError("n_shots", "must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", f"must be in [0, 2**64) (got {self.seed!r})")
         for method in self.methods:
             if method not in SWEEP_METHODS:
                 raise ConfigError("methods", f"unknown method {method!r}")
@@ -235,22 +239,36 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     return {pair: (hists[pair], near_zero[pair]) for pair in pairs}
 
 
-def _sweep(spec: SweepSpec, points) -> list[SweepRow]:
-    """One row per ``(value, label, params, method, extra_aux)`` point.
+def _sweep(spec: SweepSpec, at, curves=()) -> list[SweepRow]:
+    """One row per point; the points of grid value ``v`` run at ``at(v)``.
 
-    The spec is validated before anything is drawn.  The standard estimator
-    has no displacement knob, so its points run at d = 0.  Every point
-    shares the spec's repeat seeds, so each repeat's draws are made once and
-    reused at every point, and a ``(params, method)`` pair that recurs on
-    the grid (the standard estimator's d = 0 reference, say) is evaluated
-    once.
+    They are, in order: every homodyne curve ``(label, detector, extra_aux)``
+    on its detector, then every method of ``spec.methods``, on the intensity
+    detector when the sweep has curves and on ``at(v)`` as given otherwise.
+    The spec, and each method against its detector, are checked before
+    anything is drawn.  The standard estimator has no displacement knob, so
+    its points run at d = 0.  Every point shares the spec's repeat seeds, so
+    each repeat's draws are made once and reused at every point, and a
+    ``(params, method)`` pair that recurs on the grid (the standard
+    estimator's d = 0 reference, say) is evaluated once.
     """
     spec.validate()
-    points = [
-        (v, label, replace(params, displacement=0.0) if m == "standard" else params, m, extra)
-        for v, label, params, m, extra in points
-    ]
+    points = []
+    for value in spec.grid:
+        params = at(float(value))
+        for label, detector, extra in curves:
+            points.append((value, label, replace(params, detector=detector), "homodyne", extra))
+        if curves:
+            params = replace(params, detector=IntensityDetector())
+        for method in spec.methods:
+            at_method = replace(params, displacement=0.0) if method == "standard" else params
+            points.append((value, method, at_method, method, {}))
     pairs = list(dict.fromkeys((params, method) for _, _, params, method, _ in points))
+    for params, method in pairs:
+        if (method == "homodyne") != isinstance(params.detector, HomodyneDetector):
+            why = "; this sweep runs its own homodyne curves" if curves else ""
+            raise ConfigError("methods", f"{method} cannot read the {params.detector.kind} "
+                                         f"detector{why}")
     state = preset(spec.state)
     infs: dict = {pair: [] for pair in pairs}
     fractions: dict = {pair: [] for pair in pairs}
@@ -282,11 +300,7 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
     estimator has no displacement knob, so it runs at d = 0 and its
     (mean, std) row is replicated across the grid as a flat reference.
     """
-    rows = _sweep(spec, (
-        (d, m, replace(spec.params, displacement=float(d)), m, {})
-        for d in spec.grid
-        for m in spec.methods
-    ))
+    rows = _sweep(spec, lambda d: replace(spec.params, displacement=d))
     summary: dict = {}
     disp = [r for r in rows if r.method == "displaced"]
     if disp:
@@ -333,11 +347,7 @@ def _saturation_summary(rows: list[SweepRow]) -> dict:
 
 def sweep_gain(spec: SweepSpec) -> SweepResult:
     """Infidelity as a function of the amplification exponent."""
-    rows = _sweep(spec, (
-        (g, m, _gain_sweep_params(spec.params, g), m, {})
-        for g in spec.grid
-        for m in spec.methods
-    ))
+    rows = _sweep(spec, lambda g: _gain_sweep_params(spec.params, g))
     return SweepResult(spec, rows, _saturation_summary(rows))
 
 
@@ -346,11 +356,7 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
     defaults; reports the knee where the error leaves its floor."""
     if spec.param not in _ROBUSTNESS_FIELDS:
         raise ConfigError("param", f"must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}")
-    rows = _sweep(spec, (
-        (v, m, replace(spec.params, **{spec.param: float(v)}), m, {})
-        for v in spec.grid
-        for m in spec.methods
-    ))
+    rows = _sweep(spec, lambda v: replace(spec.params, **{spec.param: v}))
     summary: dict = {"knee": {}, "monotone_increasing": {}}
     for method in spec.methods:
         curve = [r for r in rows if r.method == method]
@@ -366,30 +372,6 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec, rows, summary)
 
 
-def _homodyne_d_points(spec: SweepSpec):
-    detector = spec.params.detector
-    if not isinstance(detector, HomodyneDetector):
-        detector = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
-    for d in spec.grid:
-        params = replace(spec.params, displacement=float(d), detector=detector)
-        yield d, "homodyne", params, "homodyne", {}
-        if "displaced" in spec.methods:
-            params = replace(spec.params, displacement=float(d), detector=IntensityDetector())
-            yield d, "displaced", params, "displaced", {}
-
-
-def _homodyne_gain_points(spec: SweepSpec):
-    for gain in spec.grid:
-        for eta in (1.0, 0.9, 0.5, 0.1):
-            det = HomodyneDetector(efficiency=eta, electronic_noise=0.1)
-            params = _gain_sweep_params(replace(spec.params, detector=det), gain)
-            yield gain, f"homodyne@eta={eta:g}", params, "homodyne", {"efficiency": eta}
-        for method in ("standard", "displaced"):
-            if method in spec.methods:
-                base = replace(spec.params, detector=IntensityDetector())
-                yield gain, method, _gain_sweep_params(base, gain), method, {}
-
-
 def homodyne_comparison(spec: SweepSpec) -> SweepResult:
     """Homodyne detection against the photon-counting estimators.
 
@@ -403,12 +385,21 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
       with the standard and displaced photon-counting curves.
     """
     if spec.param == "gain":
-        rows = _sweep(spec, _homodyne_gain_points(spec))
+        curves = [
+            (f"homodyne@eta={eta:g}", HomodyneDetector(efficiency=eta, electronic_noise=0.1),
+             {"efficiency": eta})
+            for eta in (1.0, 0.9, 0.5, 0.1)
+        ]
+        rows = _sweep(spec, lambda g: _gain_sweep_params(spec.params, g), curves)
         return SweepResult(spec, rows, _saturation_summary(rows))
     if spec.param != "displacement":
-        raise ValueError("homodyne_comparison sweeps 'displacement' or 'gain'")
+        raise ConfigError("param", f"must be 'displacement' or 'gain', got {spec.param!r}")
 
-    rows = _sweep(spec, _homodyne_d_points(spec))
+    detector = spec.params.detector
+    if not isinstance(detector, HomodyneDetector):
+        detector = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
+    rows = _sweep(spec, lambda d: replace(spec.params, displacement=d),
+                  [("homodyne", detector, {})])
     h_means = [r.mean_infidelity for r in rows if r.method == "homodyne"]
     # statistics.median, not np.median: the latter loads numpy.ma on first use.
     band = 2.0 * statistics.median(r.std_infidelity for r in rows if r.method == "homodyne")
@@ -439,14 +430,31 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
     distilled per m from the exact pdf.  ``param_value`` carries m.
     """
     spec.validate()
+    for m in spec.grid:
+        if not (math.isfinite(m) and m >= 3 and m % 2 == 1):
+            raise ConfigError("m", f"must be an odd integer >= 3 (got {m!r})")
     if spec.params.displacement == 0.0:
-        raise ValueError(
-            "squeezing_table distills displaced-method histograms; give the "
-            "chain a displacement (the optimal region is d ~ 100)"
+        raise ConfigError(
+            "displacement",
+            "the squeezing table distills displaced-estimator histograms, so it "
+            "needs a non-zero displacement (the optimal region is d ~ 100)",
         )
     state = preset(spec.state)
     seeds = _repeat_seeds(spec)
-    m_values = tuple(int(v) for v in spec.grid) or SQUEEZING_TABLE_M
+    m_values = tuple(int(m) for m in spec.grid)
+    # The analytic reference is fitted first, so an m whose window leaves the
+    # histogram is refused before anything is drawn; its rows go last.
+    reference = analytic_point_density(state, spec.bin_width)
+    analytic: list[SweepRow] = []
+    for m in m_values:
+        try:
+            fit = fit_parabola(reference, select_peak(reference, window=3), m)
+        except OutOfRange as exc:
+            raise ConfigError("m", str(exc)) from None
+        analytic.append(SweepRow(
+            float(m), "analytic", distillable_variance(fit), 0.0,
+            {"apex_location": fit.b, "state": spec.state},
+        ))
     rows: list[SweepRow] = []
 
     for alpha in SQUEEZING_TABLE_ALPHAS:
@@ -490,19 +498,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
                 )
             )
 
-    reference = analytic_point_density(state, spec.bin_width)
-    for m in m_values:
-        fit = fit_parabola(reference, select_peak(reference, window=3), m)
-        rows.append(
-            SweepRow(
-                float(m),
-                "analytic",
-                distillable_variance(fit),
-                0.0,
-                {"apex_location": fit.b, "state": spec.state},
-            )
-        )
-
+    rows += analytic
     by_m = {
         m: {r.method: r.mean_infidelity for r in rows if r.param_value == m}
         for m in m_values

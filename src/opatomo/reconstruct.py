@@ -220,18 +220,17 @@ def build_fold_matrices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n1 < 1 or n2 < n1:
         raise ValueError("fold matrices require 1 <= n1 <= n2")
-    delta = n2 - n1
-    a = np.zeros((n1, 2 * n1))
-    for i in range(1, n1 + 1):
-        for j in (n1 + 1 - i, n1 + i):
-            if 1 <= j <= 2 * n1:
-                a[i - 1, j - 1] += 1.0
-    b = np.zeros((n2, 2 * n1))
-    for i in range(1, n2 + 1):
-        for j in (n1 - delta + i, n1 + 1 - delta - i):
-            if 1 <= j <= 2 * n1:
-                b[i - 1, j - 1] += 1.0
-    return a, b
+    return _fold_matrix(n1, 0), _fold_matrix(n1, n2 - n1)
+
+
+def _fold_matrix(n1: int, delta: int) -> np.ndarray:
+    """The (n1 + delta) x 2*n1 matrix folding signed bin k, centered at
+    (k - n1 + 1/2)w, onto bin floor(|k - n1 + 1/2 + delta|) of |x + delta*w|."""
+    k = np.arange(2 * n1)
+    shifted = k - n1 + delta
+    fold = np.zeros((n1 + delta, 2 * n1))
+    fold[np.where(shifted >= 0, shifted, -shifted - 1), k] = 1.0
+    return fold
 
 
 def _last_supported_bin(counts: np.ndarray) -> int:

@@ -15,6 +15,7 @@ from opatomo.experiments import (
     squeezing_table,
     sweep_gain,
 )
+from opatomo.states import SourceState
 
 
 def run_cli(capsys, *argv):
@@ -380,26 +381,56 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
-@pytest.mark.parametrize("command,extra,key", [
-    ("reconstruct", ["--bin-width", "inf"], "bin_width"),
-    ("reconstruct", ["--bin-width", "nan"], "bin_width"),
-    ("sweep", ["--kind", "displacement", "--bin-width", "inf"], "bin_width"),
-    ("sweep", ["--kind", "gain", "--grid", "2,abc"], "grid"),
-    ("squeeze", ["--m", "3,x"], "m"),
-    ("sweep", ["--kind", "gain", "--grid", "4,2"], "grid"),
-    ("sweep", ["--kind", "homodyne-d", "--grid", "10", "--methods", "foo"], "methods"),
-], ids=["reconstruct-inf", "reconstruct-nan", "sweep-inf", "sweep-grid", "squeeze-m",
-        "sweep-grid-unsorted", "sweep-methods-unknown"])
-def test_bad_run_argument_exits_naming_its_key(capsys, tmp_path, command, extra, key):
+BAD_RUN_ARGUMENTS = {
+    "reconstruct-inf": ("reconstruct", ["--bin-width", "inf"], "bin_width"),
+    "reconstruct-nan": ("reconstruct", ["--bin-width", "nan"], "bin_width"),
+    "sweep-inf": ("sweep", ["--kind", "displacement", "--bin-width", "inf"], "bin_width"),
+    "sweep-grid": ("sweep", ["--kind", "gain", "--grid", "2,abc"], "grid"),
+    "squeeze-m": ("squeeze", ["--m", "3,x"], "m"),
+    "sweep-grid-unsorted": ("sweep", ["--kind", "gain", "--grid", "4,2"], "grid"),
+    "sweep-methods-unknown": ("sweep", ["--kind", "homodyne-d", "--grid", "10", "--methods",
+                                        "foo"], "methods"),
+    # A method must read the detector it runs on; the homodyne kinds run their
+    # own homodyne curves and their listed methods on the intensity detector.
+    "sweep-methods-homodyne-on-intensity": (
+        "sweep", ["--kind", "displacement", "--grid", "100", "--methods", "homodyne"],
+        "methods"),
+    "sweep-methods-standard-on-homodyne": (
+        "sweep", ["--kind", "gain", "--grid", "2", "--detector", "homodyne", "--methods",
+                  "standard"], "methods"),
+    "sweep-methods-homodyne-d": (
+        "sweep", ["--kind", "homodyne-d", "--grid", "10", "--methods", "displaced,homodyne"],
+        "methods"),
+    "sweep-methods-homodyne-gain": (
+        "sweep", ["--kind", "homodyne-gain", "--grid", "2", "--methods", "homodyne"], "methods"),
+    "squeeze-m-even": ("squeeze", ["--m", "4"], "m"),
+    "squeeze-m-fraction": ("squeeze", ["--m", "3.7"], "m"),
+    "squeeze-m-inf": ("squeeze", ["--m", "inf"], "m"),
+    "squeeze-m-window": ("squeeze", ["--m", "301"], "m"),
+    "squeeze-displacement-zero": ("squeeze", ["--m", "3", "--displacement", "0"], "displacement"),
+    "simulate-seed-negative": ("simulate", ["--seed", "-1"], "seed"),
+    "sweep-seed-negative": ("sweep", ["--kind", "gain", "--grid", "2", "--seed", "-1"], "seed"),
+}
+
+
+@pytest.mark.parametrize("command,extra,key", BAD_RUN_ARGUMENTS.values(),
+                         ids=list(BAD_RUN_ARGUMENTS))
+def test_bad_run_argument_exits_naming_its_key(capsys, tmp_path, monkeypatch, command, extra,
+                                               key):
     argv = [command, "--out-dir", str(tmp_path / "out"), *extra]
     if command == "reconstruct":
         argv += ["--batch", simulate(capsys, tmp_path, "--displacement", "100", "--n-shots", "200")]
+    elif command == "simulate":
+        argv += ["--n-shots", "200"]
     else:
         argv += ["--n-shots", "200", "--repeats", "2"]
+    draws = []
+    monkeypatch.setattr(SourceState, "sample_xp", lambda *args: draws.append(args))
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: {key}:") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+    assert draws == []
 
 
 @pytest.mark.parametrize("command", [["sweep", "--kind", "gain", "--grid", "2"],
@@ -596,3 +627,28 @@ def test_cli_sweep_writes_library_bytes(capsys, tmp_path, kind):
     assert sorted(os.listdir(tmp_path / "cli")) == names and len(names) == 2
     for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+# Each sweep kind with the settings its methods need besides the grid.
+METHOD_SWEEPS = {
+    "displacement": ["--grid", "10,100"],
+    "gain": ["--grid", "2,4"],
+    "robustness": ["--param", "output_noise", "--grid", "0.3,3", "--displacement", "100"],
+    "homodyne-d": ["--grid", "10,100"],
+    "homodyne-gain": ["--grid", "2,4"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(METHOD_SWEEPS))
+def test_different_methods_write_different_bytes(capsys, tmp_path, kind):
+    # Every accepted --methods list is run as given, so no two lists write
+    # the same rows under different spec hashes.
+    written = {}
+    for methods in ("standard", "displaced", "standard,displaced", "displaced,standard"):
+        code, out, err = run_cli(capsys, "sweep", "--kind", kind, *METHOD_SWEEPS[kind],
+                                 "--methods", methods, "--n-shots", "500", "--repeats", "1",
+                                 "--out-dir", str(tmp_path))
+        assert code == EXIT_OK, err
+        with open(json.loads(out)["csv"], "rb") as fh:
+            written[methods] = fh.read()
+    assert len(set(written.values())) == len(written)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,10 @@ def test_unknown_method_raises_before_anything_is_drawn(monkeypatch):
     calls = _count_source_draws(monkeypatch)
     with pytest.raises(ValueError, match="unknown method 'double'"):
         sweep_displacement(small_spec(methods=("displaced", "double")))
+    # A known method that cannot read its detector is refused just as early.
+    with pytest.raises(ConfigError, match="methods: standard cannot read the homodyne"):
+        sweep_gain(small_spec(experiment="gain", param="gain", grid=(2.0,),
+                              params=ChainParams(detector=HomodyneDetector())))
     assert calls == []
 
 
@@ -280,8 +285,18 @@ def test_engine_histograms_equal_the_estimators_on_run_batch():
 # -- homodyne comparison ------------------------------------------------------------
 
 def test_homodyne_comparison_rejects_unknown_parameter():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as info:
         homodyne_comparison(small_spec(param="output_noise"))
+    assert info.value.field == "param"
+
+
+def test_homodyne_d_standard_rows_equal_the_displacement_sweeps():
+    # homodyne-d runs every listed method; its standard rows are the
+    # displacement sweep's flat d = 0 reference, bit for bit.
+    spec = small_spec(n_shots=TWO_CHUNKS)
+    homodyne = homodyne_comparison(replace(spec, experiment="homodyne_d")).rows
+    displacement = sweep_displacement(spec).rows
+    assert [r for r in homodyne if r.method != "homodyne"] == displacement
 
 
 def test_homodyne_displacement_mode_structure():
@@ -319,8 +334,9 @@ def test_homodyne_gain_mode_structure():
 
 def test_squeezing_table_requires_displacement():
     spec = small_spec(experiment="squeezing", param="m", grid=(3.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as info:
         squeezing_table(spec)
+    assert info.value.field == "displacement"
 
 
 def test_squeezing_table_analytic_row_and_summary():
