@@ -17,7 +17,6 @@ import dataclasses
 import json
 # argparse's gettext loads locale on its first message; load it with the CLI.
 import locale  # noqa: F401
-import math
 import os
 import sys
 
@@ -41,6 +40,7 @@ from .experiments import (
     squeezing_table,
     sweep_displacement,
     sweep_gain,
+    validate_scale,
 )
 from .hist import fidelity
 from .reconstruct import (
@@ -86,12 +86,7 @@ class RunConfig:
             raise ConfigError("method", f"unknown method {self.method!r}")
         if self.detector not in ("intensity", "homodyne"):
             raise ConfigError("detector", f"unknown detector {self.detector!r}")
-        if self.n_shots < 1:
-            raise ConfigError("n_shots", "must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed", f"must be in [0, 2**64) (got {self.seed!r})")
-        if not 0.0 < self.bin_width < math.inf:
-            raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
+        validate_scale(self.n_shots, self.seed, self.bin_width)
         self.params.validate()
 
     def to_json(self) -> str:

@@ -36,7 +36,7 @@ from .chain import (
     apply_chunk,
     chunk_sizes,
     draw_chunk,
-    run_batch,
+    run_batch,  # noqa: F401  (uncalled; bench/tracer.py wraps this binding)
 )
 from .distill import (
     DistillError,
@@ -101,6 +101,16 @@ _ROBUSTNESS_FIELDS = (
 )
 
 
+def validate_scale(n_shots: int, seed: int, bin_width: float) -> None:
+    """Refuse a shot count, master seed or bin width that no run can use."""
+    if n_shots < 1:
+        raise ConfigError("n_shots", "must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", f"must be in [0, 2**64) (got {seed!r})")
+    if not 0.0 < bin_width < math.inf:
+        raise ConfigError("bin_width", f"must be positive and finite (got {bin_width!r})")
+
+
 @dataclass
 class SweepSpec:
     """Complete, hashable description of one sweep."""
@@ -119,19 +129,16 @@ class SweepSpec:
     def validate(self) -> None:
         if not self.grid:
             raise ConfigError("grid", "must be non-empty")
-        if list(self.grid) != sorted(self.grid):
-            raise ConfigError("grid", "must be sorted ascending")
+        if sorted(set(self.grid)) != list(self.grid):
+            raise ConfigError("grid", f"must be strictly ascending (got {list(self.grid)!r})")
         if self.repeats < 1:
             raise ConfigError("repeats", "must be at least 1")
-        if self.n_shots < 1:
-            raise ConfigError("n_shots", "must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed", f"must be in [0, 2**64) (got {self.seed!r})")
+        validate_scale(self.n_shots, self.seed, self.bin_width)
         for method in self.methods:
             if method not in SWEEP_METHODS:
                 raise ConfigError("methods", f"unknown method {method!r}")
-        if not 0.0 < self.bin_width < math.inf:
-            raise ConfigError("bin_width", f"must be positive and finite (got {self.bin_width!r})")
+            if self.methods.count(method) > 1:
+                raise ConfigError("methods", f"{method!r} is listed twice")
         preset(self.state)  # raises on unknown preset
         self.params.validate()
 
@@ -424,15 +431,17 @@ SQUEEZING_TABLE_M = (3, 5, 7, 9, 11)
 def squeezing_table(spec: SweepSpec) -> SweepResult:
     """Distillable squeezing V_d for one state across fit sizes m.
 
-    For each incoupling variant the state is measured once per repeat at
-    the spec's displacement, reconstructed, and distilled at every m
-    (histograms are reused across m).  An analytic noiseless reference is
-    distilled per m from the exact pdf.  ``param_value`` carries m.
+    Both incoupling variants are measured on the same draws, made once per
+    (repeat seed, chunk) by the sweep engine, at the spec's displacement;
+    each repeat's displaced-estimator histogram is distilled at every m.
+    An analytic noiseless reference is distilled per m from the exact pdf.
+    ``param_value`` carries m.
     """
+    m_grid = list(spec.grid)
+    if sorted(set(m_grid)) != m_grid or not all(
+            math.isfinite(m) and m >= 3 and m % 2 == 1 for m in m_grid):
+        raise ConfigError("m", f"must be odd integers >= 3, strictly ascending (got {m_grid!r})")
     spec.validate()
-    for m in spec.grid:
-        if not (math.isfinite(m) and m >= 3 and m % 2 == 1):
-            raise ConfigError("m", f"must be an odd integer >= 3 (got {m!r})")
     if spec.params.displacement == 0.0:
         raise ConfigError(
             "displacement",
@@ -440,7 +449,6 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
             "needs a non-zero displacement (the optimal region is d ~ 100)",
         )
     state = preset(spec.state)
-    seeds = _repeat_seeds(spec)
     m_values = tuple(int(m) for m in spec.grid)
     # The analytic reference is fitted first, so an m whose window leaves the
     # histogram is refused before anything is drawn; its rows go last.
@@ -455,34 +463,27 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
             float(m), "analytic", distillable_variance(fit), 0.0,
             {"apex_location": fit.b, "state": spec.state},
         ))
-    rows: list[SweepRow] = []
 
-    for alpha in SQUEEZING_TABLE_ALPHAS:
-        params = replace(
-            spec.params, input_transmittance=alpha, input_noise=1.0 - alpha
-        )
-        hists = [
-            displaced_reconstruct(
-                run_batch(state, params, spec.n_shots, s), spec.bin_width, enforce_positivity=False
-            )
-            for s in seeds
-        ]
+    pairs = [
+        (replace(spec.params, input_transmittance=alpha, input_noise=1.0 - alpha), "displaced")
+        for alpha in SQUEEZING_TABLE_ALPHAS
+    ]
+    per_seed = [_seed_histograms(state, pairs, spec.bin_width, spec.n_shots, seed)
+                for seed in _repeat_seeds(spec)]
+    rows: list[SweepRow] = []
+    for pair in pairs:
+        alpha = pair[0].input_transmittance
         for m in m_values:
-            v_raw: list[float] = []
-            v_cor: list[float] = []
-            apexes: list[float] = []
-            failures = 0
-            for hist in hists:
+            fits: list[tuple[float, float]] = []  # (V_d, apex) of each fit that succeeds
+            for hist, _ in (histograms[pair] for histograms in per_seed):
                 try:
                     fit = fit_parabola(hist, select_peak(hist, window=3), m)
-                    v = distillable_variance(fit)
+                    fits.append((distillable_variance(fit), fit.b))
                 except DistillError:
-                    failures += 1
-                    continue
-                v_raw.append(v)
-                v_cor.append(loss_corrected_variance(v, alpha))
-                apexes.append(fit.b)
-            mean, std = _mean_std(v_raw) if v_raw else (float("nan"), 0.0)
+                    pass  # counted in fit_failures
+            v_raw = [v for v, _ in fits]
+            v_cor = [loss_corrected_variance(v, alpha) for v in v_raw]
+            mean, std = _mean_std(v_raw) if fits else (float("nan"), 0.0)
             rows.append(
                 SweepRow(
                     float(m),
@@ -490,9 +491,9 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
                     mean,
                     std,
                     {
-                        "v_d_corrected": float(np.mean(v_cor)) if v_cor else None,
-                        "apex_location": float(np.mean(apexes)) if apexes else None,
-                        "fit_failures": failures,
+                        "v_d_corrected": float(np.mean(v_cor)) if fits else None,
+                        "apex_location": float(np.mean([b for _, b in fits])) if fits else None,
+                        "fit_failures": spec.repeats - len(fits),
                         "state": spec.state,
                     },
                 )

@@ -388,6 +388,9 @@ BAD_RUN_ARGUMENTS = {
     "sweep-grid": ("sweep", ["--kind", "gain", "--grid", "2,abc"], "grid"),
     "squeeze-m": ("squeeze", ["--m", "3,x"], "m"),
     "sweep-grid-unsorted": ("sweep", ["--kind", "gain", "--grid", "4,2"], "grid"),
+    "sweep-grid-repeated": ("sweep", ["--kind", "displacement", "--grid", "10,10"], "grid"),
+    "sweep-methods-repeated": ("sweep", ["--kind", "displacement", "--grid", "10,100",
+                                         "--methods", "displaced,displaced"], "methods"),
     "sweep-methods-unknown": ("sweep", ["--kind", "homodyne-d", "--grid", "10", "--methods",
                                         "foo"], "methods"),
     # A method must read the detector it runs on; the homodyne kinds run their
@@ -407,6 +410,8 @@ BAD_RUN_ARGUMENTS = {
     "squeeze-m-fraction": ("squeeze", ["--m", "3.7"], "m"),
     "squeeze-m-inf": ("squeeze", ["--m", "inf"], "m"),
     "squeeze-m-window": ("squeeze", ["--m", "301"], "m"),
+    "squeeze-m-unsorted": ("squeeze", ["--m", "5,3"], "m"),
+    "squeeze-m-repeated": ("squeeze", ["--m", "3,3"], "m"),
     "squeeze-displacement-zero": ("squeeze", ["--m", "3", "--displacement", "0"], "displacement"),
     "simulate-seed-negative": ("simulate", ["--seed", "-1"], "seed"),
     "sweep-seed-negative": ("sweep", ["--kind", "gain", "--grid", "2", "--seed", "-1"], "seed"),

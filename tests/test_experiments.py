@@ -232,6 +232,9 @@ def _count_source_draws(monkeypatch) -> list[int]:
     pytest.param(homodyne_comparison,
                  dict(experiment="homodyne_gain", param="gain", grid=(2.0, 4.0)),
                  id="homodyne-gain"),
+    # Both incoupling variants of the squeezing table read the same draws.
+    pytest.param(squeezing_table, dict(experiment="squeezing", param="m", grid=(3.0,),
+                                       params=ChainParams(displacement=100.0)), id="squeezing"),
 ])
 def test_sweep_samples_each_repeat_chunk_once(monkeypatch, sweep, overrides):
     # However many grid points, methods and detector kinds a sweep scores,
