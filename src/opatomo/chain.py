@@ -215,8 +215,15 @@ def intensity_shot(
     )
     noise = _cached(cache, "output_noise", (params.output_noise,),
                     lambda: params.output_noise * normals[4])
-    amplified = gained_x + params.displacement
-    return t * (amplified**2 + deamplified_sq - 0.5) + noise
+    # t * ((gained_x + d)**2 + deamplified_sq - 0.5) + noise, evaluated in
+    # the one fresh array the first sum makes, so no cached term is written.
+    out = gained_x + params.displacement
+    np.square(out, out=out)
+    out += deamplified_sq
+    out -= 0.5
+    out *= t
+    out += noise
+    return out
 
 
 def homodyne_shot(
@@ -245,8 +252,13 @@ def homodyne_shot(
             + det.electronic_noise * normals[3]
         ),
     )
-    amplified = gained_x + params.displacement
-    return (math.sqrt(det.efficiency) * amplified + noise) * det.lo_amplitude
+    # (sqrt(eta) * (gained_x + d) + noise) * lo_amplitude, in place as in
+    # ``intensity_shot``.
+    out = gained_x + params.displacement
+    out *= math.sqrt(det.efficiency)
+    out += noise
+    out *= det.lo_amplitude
+    return out
 
 
 def _shot_fn(params: ChainParams):

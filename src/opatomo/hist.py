@@ -35,6 +35,11 @@ __all__ = [
 MAX_BINS = 1_000_000
 
 
+def _check_bin_width(bin_width: float) -> None:
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite (got {bin_width!r})")
+
+
 @dataclass(frozen=True)
 class QuadratureHistogram:
     """Integer counts on a uniform grid starting at `origin`.
@@ -53,25 +58,13 @@ class QuadratureHistogram:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        _check_bin_width(self.bin_width)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        if self.overflow < 0:
+            raise ValueError("overflow must be non-negative")
         if counts.sum() + self.overflow != self.n_total:
             raise ValueError("counts + overflow must equal n_total")
-
-    def __add__(self, other: "QuadratureHistogram") -> "QuadratureHistogram":
-        """The histogram of both samples together; the grids must match."""
-        grid = (self.bin_width, self.origin, self.n_bins)
-        if (other.bin_width, other.origin, other.n_bins) != grid:
-            raise ValueError("histograms on different grids cannot be added")
-        return QuadratureHistogram(
-            bin_width=self.bin_width,
-            origin=self.origin,
-            counts=self.counts + other.counts,
-            n_total=self.n_total + other.n_total,
-            overflow=self.overflow + other.overflow,
-        )
 
     @property
     def n_bins(self) -> int:
@@ -106,8 +99,7 @@ class DensityEstimate:
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         if self.centers.shape != self.masses.shape:
             raise ValueError("centers and masses must align")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        _check_bin_width(self.bin_width)
 
     @property
     def densities(self) -> np.ndarray:
@@ -128,8 +120,7 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     increments the overflow counter instead.
     """
     values = np.asarray(values, dtype=float)
-    if not 0.0 < bin_width < math.inf:
-        raise ValueError(f"bin_width must be positive and finite (got {bin_width!r})")
+    _check_bin_width(bin_width)
     if hi <= lo:
         raise ValueError("hi must exceed lo")
     span = (hi - lo) / bin_width
@@ -141,18 +132,22 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     n_bins = int(round(span))
     if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
         raise ValueError("grid range must be an integer number of bins")
-    pos = (values - lo) / bin_width
-    in_range = (pos >= 0) & (pos < n_bins) & (values < hi)
-    # Only in-range positions are cast, where truncation is the floor, so a
-    # value far off the grid never meets an integer cast it does not fit.
-    pos = pos[in_range]
-    counts = np.bincount(pos.astype(np.int64), minlength=n_bins)
+    pos = values - lo
+    pos /= bin_width
+    in_range = pos >= 0
+    in_range &= pos < n_bins
+    in_range &= values < hi
+    # Every value off the grid (NaN included) moves to the extra slot n_bins
+    # before the cast, so the cast only ever truncates a non-negative
+    # in-range position to its floor, and that slot counts the overflow.
+    np.copyto(pos, n_bins, where=~in_range)
+    counts = np.bincount(pos.astype(np.int64), minlength=n_bins + 1)
     return QuadratureHistogram(
         bin_width=bin_width,
         origin=lo,
-        counts=counts,
+        counts=counts[:n_bins],
         n_total=values.size,
-        overflow=values.size - int(in_range.sum()),
+        overflow=int(counts[n_bins]),
     )
 
 

@@ -120,10 +120,14 @@ def invert_intensity(outcomes, params: ChainParams) -> np.ndarray:
     the near-zero density this estimator cares about.  Inversion uses the
     nominal gain and transmittances.
     """
-    n_x = np.asarray(outcomes, dtype=float)
     scale = math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
-    folded = np.sqrt(np.clip(n_x, 0.0, None) / scale)
-    return folded - fold_displacement(params)
+    # np.maximum allocates the result, so the in-place steps never touch
+    # the caller's outcomes.
+    estimates = np.maximum(np.asarray(outcomes, dtype=float), 0.0)
+    estimates /= scale
+    np.sqrt(estimates, out=estimates)
+    estimates -= fold_displacement(params)
+    return estimates
 
 
 def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
@@ -135,8 +139,9 @@ def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     denom = gain_amp * det.lo_amplitude * math.sqrt(
         params.input_transmittance * det.efficiency
     )
-    i_x = np.asarray(outcomes, dtype=float)
-    return i_x / denom - fold_displacement(params)
+    estimates = np.asarray(outcomes, dtype=float) / denom
+    estimates -= fold_displacement(params)
+    return estimates
 
 
 def near_zero_fraction(batch: ShotBatch) -> float:
@@ -146,11 +151,13 @@ def near_zero_fraction(batch: ShotBatch) -> float:
     NEAR_ZERO_SIGMAS * sqrt(output_noise / scale) exactly when the outcome
     n lies below NEAR_ZERO_SIGMAS**2 * output_noise, so the outcomes are
     compared in outcome units and never inverted.  A zero cut admits none.
+    The fraction is the count over the size correctly rounded, so
+    ``round(fraction * size)`` recovers the count.
     """
     limit = NEAR_ZERO_SIGMAS**2 * batch.params.output_noise
     if limit == 0.0 or batch.outcomes.size == 0:
         return 0.0
-    return float(np.mean(batch.outcomes < limit))
+    return np.count_nonzero(batch.outcomes < limit) / batch.outcomes.size
 
 
 def _require_intensity(batch: ShotBatch, op: str) -> None:

@@ -293,13 +293,15 @@ class SourceState:
 
         smin = np.array([math.sqrt(c.min_variance) for c in comps])[idx]
         smax = np.array([math.sqrt(c.max_variance) for c in comps])[idx]
-        rel = np.array([c.squeeze_angle - self.theta for c in comps])[idx]
+        rel = np.array([c.squeeze_angle - self.theta for c in comps])
         mx = np.array([c.mean_along(self.theta) for c in comps])[idx]
         mp = np.array([c.mean_along(self.theta + 0.5 * math.pi) for c in comps])[idx]
 
         a = smin * z[0]
         b = smax * z[1]
-        c_, s_ = np.cos(rel), np.sin(rel)
+        # cos and sin of each component's angle, then gathered: one call per
+        # component, not per shot.
+        c_, s_ = np.cos(rel)[idx], np.sin(rel)[idx]
         return a * c_ - b * s_ + mx, a * s_ + b * c_ + mp
 
 

@@ -184,6 +184,12 @@ def test_one_chunk_draw_replays_either_shot_function(shot, detector):
     assert np.array_equal(apply_chunk(draw_chunk(state, 4, 1, 1_000), params), direct)
 
 
+def _cached_terms(cache: dict) -> list:
+    """Every array a shared cache holds, in slot order."""
+    return [a for _, value in cache.values()
+            for a in (value if isinstance(value, tuple) else (value,))]
+
+
 def test_shared_cache_keeps_outcome_bytes_and_one_array_per_term():
     # Settings interleave gains, displacements, incoupling noises and both
     # detectors, so every cached term is both reused and replaced.
@@ -203,10 +209,30 @@ def test_shared_cache_keeps_outcome_bytes_and_one_array_per_term():
         assert cached.tobytes() == apply_chunk(draws, params).tobytes()
     # Eight terms: X, P, e^g X and (e^-g P)^2, the transmittance and the
     # output noise for intensity; e^g X and the noise for homodyne.
-    arrays = [a for _, value in cache.values()
-              for a in (value if isinstance(value, tuple) else (value,))]
+    arrays = _cached_terms(cache)
     assert len(arrays) == 8
     assert all(a.shape == (n,) for a in arrays)
+
+
+@pytest.mark.parametrize("detector", [
+    IntensityDetector(), HomodyneDetector(efficiency=0.5, electronic_noise=0.1),
+])
+def test_repeated_calls_on_a_shared_cache_write_no_cached_term(detector):
+    # Only the displacement moves, so every call reuses every cached term;
+    # the outcomes are computed in a fresh array, never in a cached one.
+    draws = draw_chunk(preset("sq_disp"), 5, 0, 2_000)
+    settings = [ChainParams(displacement=d, detector=detector) for d in (0.0, 30.0)]
+    cache: dict = {}
+    first = [apply_chunk(draws, params, cache) for params in settings]
+    snapshot = [a.tobytes() for a in _cached_terms(cache)]
+    for _ in range(3):
+        for params, ref in zip(settings, first):
+            out = apply_chunk(draws, params, cache)
+            assert out.tobytes() == ref.tobytes()
+            assert not any(np.shares_memory(out, a) for a in _cached_terms(cache))
+    assert [a.tobytes() for a in _cached_terms(cache)] == snapshot
+    assert [out.tobytes() for out in first] == [
+        apply_chunk(draws, params).tobytes() for params in settings]
 
 
 def test_batch_size_validation():

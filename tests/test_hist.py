@@ -89,14 +89,20 @@ def test_histogram_invariants_enforced():
         QuadratureHistogram(bin_width=0.0, origin=0.0, counts=[1], n_total=1)
 
 
-def test_histograms_add_to_the_histogram_of_both_samples():
-    a, b = np.array([-7.0, -0.5, 0.1, 0.3]), np.array([0.2, 2.0, 9.0])
-    total = bin_values(a, 0.25, -1.0, 1.0) + bin_values(b, 0.25, -1.0, 1.0)
-    joint = bin_values(np.concatenate((a, b)), 0.25, -1.0, 1.0)
-    assert np.array_equal(total.counts, joint.counts)
-    assert (total.n_total, total.overflow) == (joint.n_total, joint.overflow) == (7, 3)
-    with pytest.raises(ValueError, match="grids"):
-        bin_values(a, 0.25, -1.0, 1.0) + bin_values(b, 0.5, -1.0, 1.0)
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+def test_histograms_refuse_a_non_finite_bin_width(width):
+    # Such a width would give NaN or infinite bin centers.
+    with pytest.raises(ValueError, match="bin_width must be positive and finite"):
+        QuadratureHistogram(bin_width=width, origin=0.0, counts=[1], n_total=1)
+    with pytest.raises(ValueError, match="bin_width must be positive and finite"):
+        DensityEstimate(centers=np.zeros(1), masses=np.ones(1), bin_width=width)
+
+
+def test_histogram_refuses_negative_overflow():
+    # counts [1, 2] with overflow -1 would balance n_total = 2 and give
+    # masses summing to 1.5.
+    with pytest.raises(ValueError, match="overflow must be non-negative"):
+        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 2], n_total=2, overflow=-1)
 
 
 def test_bin_centers():
@@ -118,6 +124,68 @@ def test_binning_conserves_counts(values, n_bins):
         idx = int(np.floor((v - (-2.0)) / w))
         if 0 <= idx < n_bins and v < -2.0 + n_bins * w:
             assert hist.counts[idx] >= 1
+
+
+def _reference_bin_values(values, bin_width, lo, hi):
+    """Reference binner: select the in-range positions by boolean index,
+    cast and count them, and call the rest overflow."""
+    values = np.asarray(values, dtype=float)
+    n_bins = int(round((hi - lo) / bin_width))
+    pos = (values - lo) / bin_width
+    in_range = (pos >= 0) & (pos < n_bins) & (values < hi)
+    counts = np.bincount(pos[in_range].astype(np.int64), minlength=n_bins)
+    return counts, values.size - int(in_range.sum()), values.size
+
+
+# Grids (bin_width, lo, hi) with an integer number of bins.
+_GRIDS = [(0.05, -6.0, 6.0), (0.05, 0.0, 6.0), (0.1, 0.0, 0.3), (0.25, -2.0, 3.0),
+          (0.2, -1.4, 1.4)]
+
+
+def _edge_values(bin_width, lo, hi):
+    """The values where a binner can go wrong on the grid (bin_width, lo, hi)."""
+    below_hi = np.nextafter(hi, -math.inf)
+    return [hi, below_hi, np.nextafter(below_hi, -math.inf), lo, np.nextafter(lo, -math.inf),
+            np.nextafter(lo, math.inf), -0.0, 0.0, math.inf, -math.inf, math.nan,
+            1e300, -1e300, lo + bin_width, hi - bin_width]
+
+
+def test_edge_values_include_a_position_that_rounds_up_to_n_bins():
+    # On [-6, 6) with width 0.05 the largest value below hi sits at position
+    # (v - lo) / w == n_bins after rounding: it overflows, as in the reference.
+    v = np.nextafter(6.0, -math.inf)
+    assert v < 6.0 and (v + 6.0) / 0.05 == 240
+    assert bin_values([v], 0.05, -6.0, 6.0).overflow == 1
+
+
+_finite_or_not = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_GRIDS), st.lists(_finite_or_not, max_size=60), st.booleans())
+def test_binner_matches_the_boolean_index_reference(grid, values, with_edges):
+    bin_width, lo, hi = grid
+    if with_edges:
+        values = values + _edge_values(bin_width, lo, hi)
+    arr = np.array(values, dtype=float)
+    before = arr.tobytes()
+    hist = bin_values(arr, bin_width, lo, hi)
+    counts, overflow, n_total = _reference_bin_values(arr, bin_width, lo, hi)
+    assert np.array_equal(hist.counts, counts)
+    assert (hist.overflow, hist.n_total) == (overflow, n_total)
+    assert arr.tobytes() == before
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_binner_matches_the_reference_on_every_edge_and_on_empty_input(grid):
+    for values in (_edge_values(*grid), []):
+        hist = bin_values(values, *grid)
+        counts, overflow, n_total = _reference_bin_values(values, *grid)
+        assert np.array_equal(hist.counts, counts)
+        assert (hist.overflow, hist.n_total) == (overflow, n_total)
 
 
 # -- fidelity ------------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_invert_homodyne_is_exact_affine_inverse():
     assert np.allclose(invert_homodyne(outcome, params), x, atol=1e-10)
 
 
+def test_inversions_leave_their_argument_unchanged():
+    outcomes = np.array([-5.0, -0.0, 0.0, 3.0, 1e4, 2.5e5])
+    before = outcomes.tobytes()
+    for params, invert in ((ChainParams(displacement=20.0), invert_intensity),
+                           (ChainParams(detector=HomodyneDetector()), invert_homodyne)):
+        estimates = invert(outcomes, params)
+        assert not np.shares_memory(estimates, outcomes)
+        assert outcomes.tobytes() == before
+
+
 def test_invert_homodyne_requires_homodyne_batch():
     with pytest.raises(ValueError):
         invert_homodyne([1.0], ChainParams())

@@ -200,6 +200,44 @@ def test_mixture_component_selection():
     assert float(np.var(x)) == pytest.approx(marginal_variance(state), rel=0.02)
 
 
+def _per_shot_rotation_sample(state: SourceState, n: int, rng):
+    """Per-shot reference for ``sample_xp``'s Gaussian branch: every
+    per-component parameter, the rotation angle included, is gathered per
+    shot before cos and sin are taken."""
+    comps = state.components
+    if len(comps) == 1:
+        idx = np.zeros(n, dtype=np.intp)
+    else:
+        idx = rng.choice(len(comps), size=n, p=[c.weight for c in comps])
+    z = rng.standard_normal((2, n))
+    smin = np.array([math.sqrt(c.min_variance) for c in comps])[idx]
+    smax = np.array([math.sqrt(c.max_variance) for c in comps])[idx]
+    rel = np.array([c.squeeze_angle - state.theta for c in comps])[idx]
+    mx = np.array([c.mean_along(state.theta) for c in comps])[idx]
+    mp = np.array([c.mean_along(state.theta + 0.5 * math.pi) for c in comps])[idx]
+    a = smin * z[0]
+    b = smax * z[1]
+    c_, s_ = np.cos(rel), np.sin(rel)
+    return a * c_ - b * s_ + mx, a * s_ + b * c_ + mp
+
+
+_ROTATED_MIX = SourceState.gaussian(
+    [GaussianComponent(0.3, mean_x=0.4, squeezing=1.5, squeeze_angle=0.3),
+     GaussianComponent(0.7, mean_p=-0.2, squeezing=0.5, squeeze_angle=2.1)],
+    theta=0.7,
+)
+
+
+@pytest.mark.parametrize("state", [preset("sq"), preset("mix"), preset("mix_disp"), _ROTATED_MIX],
+                         ids=["sq", "mix", "mix_disp", "rotated_mix"])
+def test_sampling_equals_the_per_shot_rotation_bit_for_bit(state):
+    # cos and sin are taken once per component, then gathered per shot.
+    for n in (1, 1000, 1 << 14):
+        x, p = state.sample_xp(n, stream(17, n))
+        x_ref, p_ref = _per_shot_rotation_sample(state, n, stream(17, n))
+        assert x.tobytes() == x_ref.tobytes() and p.tobytes() == p_ref.tobytes()
+
+
 # -- hermite machinery -------------------------------------------------------
 
 def test_hermite_functions_orthonormal():
