@@ -195,31 +195,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = build_config(args, _RECONSTRUCT_REFUSES)
-    batch = ShotBatch.from_csv(args.batch)
+    paths = [args.batch, args.batch2] if args.batch2 else [args.batch]
+    count = METHODS[config.method][1]
+    if len(paths) != count:
+        raise ConfigError("batch2", f"{config.method} reads {count} batch(es), not {len(paths)}")
+    batches = [ShotBatch.from_csv(path) for path in paths]
+    batch = batches[0]
     if batch.state_label not in PRESETS:
-        raise ConfigError(
-            "state",
-            f"batch header names unknown preset {batch.state_label!r}; see `opatomo presets`",
-        )
+        raise ConfigError("state", f"batch header names unknown preset {batch.state_label!r}; "
+                                   "see `opatomo presets`")
     state = preset(batch.state_label)
 
+    diag: dict = {}
     if config.method == "double":
-        if not args.batch2:
-            raise ConfigError("batch2", "the two-displacement method needs two batches")
-        batch2 = ShotBatch.from_csv(args.batch2)
-        estimate, diag = double_displacement_reconstruct(batch, batch2, config.bin_width)
-        f = fidelity(estimate, state)
-        n = batch.n_shots + batch2.n_shots
+        estimate, diag = double_displacement_reconstruct(*batches, config.bin_width)
+    elif config.method == "standard":
+        estimate = standard_reconstruct(batch, config.bin_width)
+    elif config.method == "displaced":
+        estimate = displaced_reconstruct(batch, config.bin_width)
     else:
-        if config.method == "standard":
-            hist = standard_reconstruct(batch, config.bin_width)
-        elif config.method == "displaced":
-            hist = displaced_reconstruct(batch, config.bin_width)
-        else:
-            hist = homodyne_reconstruct(batch, config.bin_width)
-        estimate, diag = hist, {}
-        f = fidelity(hist, state)
-        n = batch.n_shots
+        estimate = homodyne_reconstruct(batch, config.bin_width)
+    f = fidelity(estimate, state)
 
     os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.splitext(os.path.basename(args.batch))[0]
@@ -227,7 +223,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     estimate.to_csv(stem + ".csv")
     report = {
         "method": config.method,
-        "N": n,
+        "N": sum(b.n_shots for b in batches),
         "state": batch.state_label,
         "fidelity": f,
         "infidelity": 1.0 - f,

@@ -48,7 +48,9 @@ from .distill import (
 )
 from .hist import QuadratureHistogram, analytic_point_density, fidelity
 from .reconstruct import (
+    METHODS,
     POSITIVITY_THRESHOLD,
+    check_method,
     displaced_reconstruct,
     homodyne_reconstruct,
     near_zero_fraction,
@@ -87,9 +89,8 @@ SATURATION_FACTOR = 1.5
 # multiple of the sweep's minimum.
 KNEE_FACTOR = 2.0
 
-# Methods a sweep point can score; the two-displacement estimator needs a
-# second batch per point and is not one of them.
-SWEEP_METHODS = ("standard", "displaced", "homodyne")
+# Methods a sweep point can score: those that read one batch per point.
+SWEEP_METHODS = tuple(method for method, (_, batches) in METHODS.items() if batches == 1)
 
 _ROBUSTNESS_FIELDS = (
     "input_noise",
@@ -281,10 +282,7 @@ def _sweep(spec: SweepSpec, at, curves=()) -> list[SweepRow]:
             points.append((value, method, at_method, method, {}))
     pairs = list(dict.fromkeys((params, method) for _, _, params, method, _ in points))
     for params, method in pairs:
-        if (method == "homodyne") != isinstance(params.detector, HomodyneDetector):
-            why = "; this sweep runs its own homodyne curves" if curves else ""
-            raise ConfigError("methods", f"{method} cannot read the {params.detector.kind} "
-                                         f"detector{why}")
+        check_method(method, params, key="methods")
     state = preset(spec.state)
     infs: dict = {pair: [] for pair in pairs}
     fractions: dict = {pair: [] for pair in pairs}
@@ -457,6 +455,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
             "the squeezing table distills displaced-estimator histograms, so it "
             "needs a non-zero displacement (the optimal region is d ~ 100)",
         )
+    check_method("displaced", spec.params, key="detector")
     state = preset(spec.state)
     m_values = tuple(int(m) for m in spec.grid)
     # The analytic reference is fitted first, so an m whose window leaves the

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .chain import ChainParams, HomodyneDetector, IntensityDetector, ShotBatch
+from .chain import ChainParams, ConfigError, ShotBatch
 from .hist import DensityEstimate, QuadratureHistogram, bin_values
 from .nnls import solve_nnls
 
@@ -44,9 +44,12 @@ __all__ = [
     "double_displacement_reconstruct",
     "homodyne_reconstruct",
     "METHODS",
+    "check_method",
 ]
 
-METHODS = ("standard", "displaced", "double", "homodyne")
+# Each estimator -> (the detector kind it reads, the number of batches it reads).
+METHODS = {"standard": ("intensity", 1), "displaced": ("intensity", 1),
+           "double": ("intensity", 2), "homodyne": ("homodyne", 1)}
 
 # The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH).
 GRID_HALF_WIDTH = 6.0
@@ -86,7 +89,17 @@ class DegenerateSupport(ValueError):
 
 class InconsistentBinning(ValueError):
     """The two batches of a two-displacement reconstruction cannot share a
-    grid (mismatched bin width or nominal chain parameters)."""
+    grid (mismatched nominal chain parameters or source states)."""
+
+
+def check_method(method: str, params: ChainParams, key: str = "method") -> None:
+    """Refuse, as ``ConfigError(key, ...)``, a method that cannot read a batch
+    taken on ``params``: its detector is not the method's, or the method is
+    ``standard`` and the displacement is not zero."""
+    if METHODS[method][0] != params.detector.kind:
+        raise ConfigError(key, f"{method} cannot read the {params.detector.kind} detector")
+    if method == "standard" and params.displacement != 0.0:
+        raise ConfigError(key, "standard needs a batch taken at zero displacement")
 
 
 def noise_equivalent_std(params: ChainParams) -> float:
@@ -132,9 +145,8 @@ def invert_intensity(outcomes, params: ChainParams) -> np.ndarray:
 
 def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     """Affine inversion of homodyne currents (unbiased by construction)."""
+    check_method("homodyne", params)
     det = params.detector
-    if not isinstance(det, HomodyneDetector):
-        raise ValueError("homodyne inversion requires a homodyne batch")
     gain_amp = math.exp(params.gain)
     denom = gain_amp * det.lo_amplitude * math.sqrt(
         params.input_transmittance * det.efficiency
@@ -160,11 +172,6 @@ def near_zero_fraction(batch: ShotBatch) -> float:
     return np.count_nonzero(batch.outcomes < limit) / batch.outcomes.size
 
 
-def _require_intensity(batch: ShotBatch, op: str) -> None:
-    if not isinstance(batch.params.detector, IntensityDetector):
-        raise ValueError(f"{op} requires an intensity-detector batch")
-
-
 def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Symmetric reconstruction: fold, histogram, mirror.
 
@@ -174,9 +181,7 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     directly comparable with the other estimators under the fidelity metric.
     Requires an undisplaced batch.
     """
-    _require_intensity(batch, "standard_reconstruct")
-    if batch.params.displacement != 0.0:
-        raise ValueError("standard_reconstruct requires a batch taken at zero displacement")
+    check_method("standard", batch.params)
     magnitudes = invert_intensity(batch.outcomes, batch.params)
     half = bin_values(magnitudes, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
@@ -201,7 +206,7 @@ def displaced_reconstruct(
     ``enforce_positivity`` a PositivityViolation is raised to direct the
     caller to the two-displacement estimator.
     """
-    _require_intensity(batch, "displaced_reconstruct")
+    check_method("displaced", batch.params)
     if enforce_positivity:
         fraction = near_zero_fraction(batch)
         if fraction > POSITIVITY_THRESHOLD:
@@ -317,18 +322,21 @@ def double_displacement_reconstruct(
 ) -> tuple[DensityEstimate, dict]:
     """Two-displacement reconstruction.
 
-    The two batches must share every nominal chain parameter except the
-    displacement.  Their fold coordinates realize |X + d1| and |X + d2| in
-    input-quadrature units; the coordinate origin is moved by the smaller
-    displacement, the fold system is solved for the shifted variable, and
-    the recovered centers are displaced back.
+    The two batches must hold one source state and share every nominal
+    chain parameter except the displacement.  Their fold coordinates
+    realize |X + d1| and |X + d2| in input-quadrature units; the coordinate
+    origin is moved by the smaller displacement, the fold system is solved
+    for the shifted variable, and the recovered centers are displaced back.
     """
-    _require_intensity(batch_a, "double_displacement_reconstruct")
-    _require_intensity(batch_b, "double_displacement_reconstruct")
+    check_method("double", batch_a.params)
+    check_method("double", batch_b.params)
     if batch_a.params.chain_key() != batch_b.params.chain_key():
         raise InconsistentBinning(
             "batches disagree on nominal chain parameters and cannot share a grid"
         )
+    if batch_a.state_label != batch_b.state_label:
+        raise InconsistentBinning(f"batches hold different states ({batch_a.state_label!r} "
+                                  f"and {batch_b.state_label!r}) and cannot be unfolded together")
     d_a = fold_displacement(batch_a.params)
     d_b = fold_displacement(batch_b.params)
     if d_b < d_a:

@@ -226,21 +226,46 @@ def test_reconstruct_positivity_violation_hints_second_batch(capsys, tmp_path):
 
 
 def test_reconstruct_standard_rejects_displaced_batch(capsys, tmp_path):
-    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
-                     "--n-shots", "1000")
-    code, _, err = run_cli(capsys, "reconstruct", "--batch", batch,
-                           "--method", "standard", "--out-dir", str(tmp_path))
-    assert code == EXIT_CONFIG
-    assert "zero displacement" in err
+    # Each method refuses a batch it cannot read, naming the method key.
+    intensity = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
+                         "--n-shots", "1000")
+    homodyne = simulate(capsys, tmp_path / "h", "--state", "sq", "--detector", "homodyne",
+                        "--n-shots", "1000")
+    homodyne_displaced = simulate(capsys, tmp_path / "hd", "--state", "sq",
+                                  "--detector", "homodyne", "--displacement", "100",
+                                  "--n-shots", "1000")
+    for method, batches, why in [
+        ("standard", [intensity], "standard needs a batch taken at zero displacement"),
+        ("standard", [homodyne], "standard cannot read the homodyne detector"),
+        ("displaced", [homodyne], "displaced cannot read the homodyne detector"),
+        ("homodyne", [intensity], "homodyne cannot read the intensity detector"),
+        ("double", [homodyne, homodyne_displaced], "double cannot read the homodyne detector"),
+    ]:
+        argv = ["--batch", batches[0], *(["--batch2", batches[1]] if batches[1:] else [])]
+        out_dir = tmp_path / f"out_{method}"
+        code, _, err = run_cli(capsys, "reconstruct", *argv, "--method", method,
+                               "--out-dir", str(out_dir))
+        assert (code, err) == (EXIT_CONFIG, f"error: method: {why}\n")
+        assert not out_dir.exists()
 
 
 def test_reconstruct_double_needs_two_batches(capsys, tmp_path):
     batch = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
                      "--n-shots", "1000")
+    out_dir = tmp_path / "out"
     code, _, err = run_cli(capsys, "reconstruct", "--batch", batch,
-                           "--method", "double", "--out-dir", str(tmp_path))
+                           "--method", "double", "--out-dir", str(out_dir))
     assert code == EXIT_CONFIG
-    assert "batch2" in err
+    assert err.startswith("error: batch2: ")
+    # A second batch is refused by every single-pass method before any file
+    # is read, so a missing one gives the same error.
+    for method in ("standard", "displaced", "homodyne"):
+        for batch2 in (batch, str(tmp_path / "missing.csv")):
+            code, _, err = run_cli(capsys, "reconstruct", "--batch", batch, "--batch2", batch2,
+                                   "--method", method, "--out-dir", str(out_dir))
+            assert code == EXIT_CONFIG
+            assert err.startswith("error: batch2: ")
+    assert not out_dir.exists()
 
 
 def test_reconstruct_double_end_to_end(capsys, tmp_path):
@@ -256,6 +281,14 @@ def test_reconstruct_double_end_to_end(capsys, tmp_path):
     assert report["N"] == 60000
     assert report["fidelity"] > 0.95
     assert report["diag_nnls_converged"] is True
+    # A second batch of another state is refused, naming both states.
+    other = simulate(capsys, tmp_path / "sq", "--state", "sq", "--displacement", "66",
+                     "--n-shots", "1000")
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", other,
+                           "--method", "double", "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert "'mix'" in err and "'sq'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reconstruct_unknown_batch_state_exits_with_config_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Fuzz of the command line's input boundary.
 
-``reconstruct`` reads malformed batch files (header and rows), and
+``reconstruct`` reads malformed batch files (header and rows), beside a
+valid second batch for the two-displacement method, and
 ``simulate``, ``squeeze`` and a gain ``sweep`` read malformed ``key=value``
 config files.  Whatever they hold, the command must exit 0, 2 or 3, write
 nothing to stderr but ``error:`` lines, and raise no warning.  The examples
@@ -27,6 +28,8 @@ N_SHOTS = 20
 _BATCH = run_batch(preset("sq"), ChainParams(displacement=100.0), N_SHOTS, seed=0)
 HEADER = {"chain": _BATCH.params.to_dict(), "n_shots": N_SHOTS, "seed": 0, "state": "sq"}
 ROWS = [repr(float(v)) for v in _BATCH.outcomes]
+# A valid batch at another displacement, the second batch of ``double``.
+_BATCH2 = run_batch(preset("sq"), ChainParams(displacement=200.0), N_SHOTS, seed=1)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -94,15 +97,17 @@ def _assert_clean_exit(code: int, err: str, caught: list) -> None:
 
 
 @FUZZ
-@given(header=header_lines, rows=row_lists, method=st.sampled_from(["standard", "displaced",
-                                                                    "homodyne"]))
+@given(header=header_lines, rows=row_lists, method=st.sampled_from(list(METHODS)))
 def test_reconstruct_survives_any_batch_file(header, rows, method):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "batch.csv")
         with open(path, "w") as fh:
             fh.write("\n".join([header, "outcome", *rows]) + "\n")
-        _assert_clean_exit(*_run(["reconstruct", "--batch", path, "--method", method,
-                                  "--out-dir", tmp]))
+        argv = ["reconstruct", "--batch", path, "--method", method, "--out-dir", tmp]
+        if method == "double":
+            _BATCH2.to_csv(os.path.join(tmp, "batch2.csv"))
+            argv += ["--batch2", os.path.join(tmp, "batch2.csv")]
+        _assert_clean_exit(*_run(argv))
 
 
 @FUZZ

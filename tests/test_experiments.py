@@ -253,6 +253,12 @@ def test_unknown_method_raises_before_anything_is_drawn(monkeypatch):
     with pytest.raises(ConfigError, match="methods: standard cannot read the homodyne"):
         sweep_gain(small_spec(experiment="gain", param="gain", grid=(2.0,),
                               params=ChainParams(detector=HomodyneDetector())))
+    # The squeezing table distills displaced-estimator histograms, so it
+    # refuses a homodyne detector before drawing too.
+    with pytest.raises(ConfigError, match="detector: displaced cannot read the homodyne"):
+        squeezing_table(small_spec(
+            experiment="squeezing", param="m", methods=("displaced",), grid=(3.0,),
+            params=ChainParams(displacement=100.0, detector=HomodyneDetector())))
     assert calls == []
 
 

@@ -1,17 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opatomo.chain import ChainParams, HomodyneDetector, run_batch
+from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
 from opatomo.hist import bin_values, fidelity
 from opatomo.reconstruct import (
+    METHODS,
     NEAR_ZERO_SIGMAS,
     POSITIVITY_THRESHOLD,
     DegenerateSupport,
     InconsistentBinning,
     PositivityViolation,
     build_fold_matrices,
+    check_method,
     displaced_reconstruct,
     double_displacement_reconstruct,
     fold_displacement,
@@ -212,6 +215,38 @@ def test_intensity_estimators_reject_homodyne_batches():
         displaced_reconstruct(batch, 0.05)
 
 
+_ESTIMATORS = {
+    "standard": standard_reconstruct,
+    "displaced": lambda batch, w: displaced_reconstruct(batch, w, enforce_positivity=False),
+    "double": lambda batch, w: double_displacement_reconstruct(
+        batch, run_batch(preset("mix"), replace(batch.params, displacement=66.0), 2_000, 1), w),
+    "homodyne": homodyne_reconstruct,
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("detector", [IntensityDetector(), HomodyneDetector()],
+                         ids=["intensity", "homodyne"])
+@pytest.mark.parametrize("displacement", [0.0, 33.0])
+def test_method_table_matches_the_estimators(method, detector, displacement):
+    # Each estimator accepts a batch exactly when check_method does.
+    params = ChainParams(displacement=displacement, detector=detector)
+    try:
+        check_method(method, params)
+        accepted = True
+    except ConfigError as exc:
+        assert exc.field == "method"
+        accepted = False
+    batch = run_batch(preset("mix"), params, 2_000, 0)
+    if accepted:
+        _ESTIMATORS[method](batch, 0.2)
+    else:
+        with pytest.raises(ConfigError, match="^method: "):
+            _ESTIMATORS[method](batch, 0.2)
+    assert accepted == (METHODS[method][0] == detector.kind
+                        and (method != "standard" or displacement == 0.0))
+
+
 def test_homodyne_reconstruct_vacuum():
     params = ChainParams(detector=HomodyneDetector())
     batch = run_batch(preset("vac"), params, 100_000, 5)
@@ -349,6 +384,10 @@ def test_double_requires_matching_chains():
     a = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 0)
     b = run_batch(preset("mix"), ChainParams(displacement=66.0, gain=3.0), 200, 1)
     with pytest.raises(InconsistentBinning):
+        double_displacement_reconstruct(a, b, 0.05)
+    # The same chain on another source state is refused too, naming both.
+    b = run_batch(preset("sq"), ChainParams(displacement=66.0), 200, 1)
+    with pytest.raises(InconsistentBinning, match="'mix' and 'sq'"):
         double_displacement_reconstruct(a, b, 0.05)
 
 
