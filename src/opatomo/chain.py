@@ -265,10 +265,6 @@ def _shot_fn(params: ChainParams):
     return homodyne_shot if isinstance(params.detector, HomodyneDetector) else intensity_shot
 
 
-# Outcomes to_csv converts to Python floats at a time.
-_CSV_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True)
 class ShotBatch:
     """Outcomes of n_shots passes of one state through one chain setting."""
@@ -289,8 +285,9 @@ class ShotBatch:
         with open(path, "w") as fh:
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             fh.write("outcome\n")
-            for i in range(0, self.outcomes.size, _CSV_BLOCK):
-                block = self.outcomes[i:i + _CSV_BLOCK].tolist()
+            # One BATCH_CHUNK of outcomes is converted to text at a time.
+            for i in range(0, self.outcomes.size, BATCH_CHUNK):
+                block = self.outcomes[i:i + BATCH_CHUNK].tolist()
                 fh.write("\n".join(map(repr, block)) + "\n")
 
     @staticmethod
@@ -303,10 +300,8 @@ class ShotBatch:
             column = fh.readline().strip()
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
-            blocks = [np.array([])]
-            while lines := fh.readlines(1 << 20):
-                blocks.append(np.array([float(line) for line in lines if line.strip()]))
-            outcomes = np.concatenate(blocks)
+            # One float per non-blank line, parsed straight into the array.
+            outcomes = np.fromiter(map(float, filter(str.strip, fh)), dtype=float)
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: batch header must be a JSON object")
         missing = [key for key in ("chain", "n_shots", "seed") if key not in meta]
@@ -389,12 +384,12 @@ def run_batch(
     """
     if n_shots <= 0:
         raise ConfigError("n_shots", f"must be positive (got {n_shots})")
-    parts = [
-        apply_chunk(draw_chunk(state, seed, i, c), params)
-        for i, c in enumerate(chunk_sizes(n_shots))
-    ]
+    outcomes = np.empty(n_shots)
+    for i, c in enumerate(chunk_sizes(n_shots)):
+        start = i * BATCH_CHUNK
+        outcomes[start:start + c] = apply_chunk(draw_chunk(state, seed, i, c), params)
     return ShotBatch(
-        outcomes=np.concatenate(parts),
+        outcomes=outcomes,
         params=params,
         n_shots=n_shots,
         seed=seed,

@@ -136,8 +136,11 @@ class SweepSpec:
             raise ConfigError("repeats", "must be at least 1")
         validate_scale(self.n_shots, self.seed, self.bin_width)
         for method in self.methods:
-            if method not in SWEEP_METHODS:
+            if method not in METHODS:
                 raise ConfigError("methods", f"unknown method {method!r}")
+            if method not in SWEEP_METHODS:
+                raise ConfigError("methods", f"{method} reads {METHODS[method][1]} batches per "
+                                             "point; sweeps score one-batch methods only")
             if self.methods.count(method) > 1:
                 raise ConfigError("methods", f"{method!r} is listed twice")
         preset(self.state)  # raises on unknown preset

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .chain import ChainParams, ConfigError, ShotBatch
-from .hist import DensityEstimate, QuadratureHistogram, bin_values
+from .chain import BATCH_CHUNK, ChainParams, ConfigError, ShotBatch
+from .hist import DensityEstimate, QuadratureHistogram, _check_bin_width, bin_values
 from .nnls import solve_nnls
 
 __all__ = [
@@ -102,6 +102,11 @@ def check_method(method: str, params: ChainParams, key: str = "method") -> None:
         raise ConfigError(key, "standard needs a batch taken at zero displacement")
 
 
+def _intensity_scale(params: ChainParams) -> float:
+    """Nominal photon number per squared input quadrature."""
+    return math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
+
+
 def noise_equivalent_std(params: ChainParams) -> float:
     """Quadrature scale below which an inverted intensity outcome is noise.
 
@@ -109,7 +114,7 @@ def noise_equivalent_std(params: ChainParams) -> float:
     post-amplification noise std, so the inverted coordinate fluctuates by
     the square root of that noise over the amplification scale.
     """
-    scale = math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
+    scale = _intensity_scale(params)
     return math.sqrt(params.output_noise / scale) if params.output_noise > 0.0 else 0.0
 
 
@@ -133,7 +138,7 @@ def invert_intensity(outcomes, params: ChainParams) -> np.ndarray:
     the near-zero density this estimator cares about.  Inversion uses the
     nominal gain and transmittances.
     """
-    scale = math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
+    scale = _intensity_scale(params)
     # np.maximum allocates the result, so the in-place steps never touch
     # the caller's outcomes.
     estimates = np.maximum(np.asarray(outcomes, dtype=float), 0.0)
@@ -172,6 +177,24 @@ def near_zero_fraction(batch: ShotBatch) -> float:
     return np.count_nonzero(batch.outcomes < limit) / batch.outcomes.size
 
 
+def _bin_in_chunks(outcomes: np.ndarray, invert, bin_width: float, lo: float,
+                   hi: float) -> QuadratureHistogram:
+    """``bin_values(invert(outcomes), bin_width, lo, hi)``, inverted and binned
+    one BATCH_CHUNK slice at a time.
+
+    The slices' integer counts, overflow and totals add up exactly to those
+    of the whole array, so only one slice's estimates are held at a time.  An
+    empty batch is one empty slice, so its histogram still carries the grid.
+    """
+    counts, overflow, total = 0, 0, 0
+    for start in range(0, max(outcomes.size, 1), BATCH_CHUNK):
+        hist = bin_values(invert(outcomes[start:start + BATCH_CHUNK]), bin_width, lo, hi)
+        counts += hist.counts  # the first slice's sum is a new array
+        overflow += hist.overflow
+        total += hist.n_total
+    return QuadratureHistogram(bin_width, lo, counts, n_total=total, overflow=overflow)
+
+
 def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Symmetric reconstruction: fold, histogram, mirror.
 
@@ -182,8 +205,8 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     Requires an undisplaced batch.
     """
     check_method("standard", batch.params)
-    magnitudes = invert_intensity(batch.outcomes, batch.params)
-    half = bin_values(magnitudes, bin_width, 0.0, GRID_HALF_WIDTH)
+    half = _bin_in_chunks(batch.outcomes, lambda chunk: invert_intensity(chunk, batch.params),
+                          bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
     return QuadratureHistogram(
         bin_width=bin_width,
@@ -211,14 +234,14 @@ def displaced_reconstruct(
         fraction = near_zero_fraction(batch)
         if fraction > POSITIVITY_THRESHOLD:
             raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
-    estimates = invert_intensity(batch.outcomes, batch.params)
-    return bin_values(estimates, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
+    return _bin_in_chunks(batch.outcomes, lambda chunk: invert_intensity(chunk, batch.params),
+                          bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
 def homodyne_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Histogram of affinely inverted homodyne currents."""
-    estimates = invert_homodyne(batch.outcomes, batch.params)
-    return bin_values(estimates, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
+    return _bin_in_chunks(batch.outcomes, lambda chunk: invert_homodyne(chunk, batch.params),
+                          bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
 def build_fold_matrices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,30 +275,25 @@ def _last_supported_bin(counts: np.ndarray) -> int:
 
 
 def unfold_fold_samples(
-    y_samples, z_samples, bin_width: float, shift: float = 0.0
+    hist_y: QuadratureHistogram, hist_z: QuadratureHistogram, shift: float = 0.0
 ) -> tuple[DensityEstimate, dict]:
-    """Recover a signed-axis density from two folded sample sets.
+    """Recover a signed-axis density from the histograms of two folded sample sets.
 
-    ``y_samples`` are magnitudes |X| and ``z_samples`` magnitudes |X + d|
-    of the same underlying variable X, for some displacement d > 0.  Both
-    are histogrammed on the shared positive grid with centers (k-1/2)*w;
-    the grid itself fixes the displacement to (n2-n1) whole bins.  The
-    stacked fold system is solved under non-negativity and the recovered
-    masses are returned on centers shifted by ``-shift`` (used by callers
-    that moved the coordinate origin before folding).
+    ``hist_y`` counts magnitudes |X| and ``hist_z`` magnitudes |X + d| of the
+    same underlying variable X, for some displacement d > 0, on one positive
+    grid with centers (k-1/2)*w; the grid itself fixes the displacement to
+    (n2-n1) whole bins.  The stacked fold system is solved under
+    non-negativity and the recovered masses are returned on centers shifted
+    by ``-shift`` (used by callers that moved the coordinate origin before
+    folding).
     """
-    if not (bin_width > 0.0):
-        raise ValueError("bin_width must be positive")
-    y = np.asarray(y_samples, dtype=float)
-    z = np.asarray(z_samples, dtype=float)
-    if y.size == 0 or z.size == 0:
+    w = hist_y.bin_width
+    if hist_z.bin_width != w or hist_y.origin != 0.0 or hist_z.origin != 0.0:
+        raise ValueError("fold histograms must share one bin width and start at 0")
+    if hist_y.n_total == 0 or hist_z.n_total == 0:
         raise DegenerateSupport("empty sample set")
-    if np.any(y < 0.0) or np.any(z < 0.0):
-        raise ValueError("folded samples must be non-negative")
-
-    extent = bin_width * (math.floor(max(float(y.max()), float(z.max())) / bin_width) + 1)
-    hist_y = bin_values(y, bin_width, 0.0, extent)
-    hist_z = bin_values(z, bin_width, 0.0, extent)
+    if hist_y.overflow or hist_z.overflow:
+        raise ValueError("folded samples must be non-negative and lie on the grid")
     n_y = _last_supported_bin(hist_y.counts)
     n_z = _last_supported_bin(hist_z.counts)
     if n_y == 0 or n_z == 0:
@@ -295,7 +313,6 @@ def unfold_fold_samples(
     rhs = np.concatenate([hist_y.masses[:n1], hist_z.masses[:n2]])
     result = solve_nnls(np.vstack([a, b]), rhs)
 
-    w = bin_width
     centers = (np.arange(1, 2 * n1 + 1) - n1 - 0.5) * w
     masses = result.x
     if flipped:
@@ -317,6 +334,19 @@ def unfold_fold_samples(
     return estimate, diagnostics
 
 
+def _largest_fold_coordinate(batch: ShotBatch, d: float) -> float:
+    """The largest of ``invert_intensity(batch.outcomes, batch.params) + d``,
+    from the largest outcome alone.
+
+    Each step of the inversion (the clamp at 0, the division, the square
+    root, the subtraction) and the added ``d`` is correctly rounded and
+    monotone non-decreasing, so the largest outcome maps to the largest
+    value bit for bit.
+    """
+    top = float(batch.outcomes.max(initial=0.0))
+    return math.sqrt(top / _intensity_scale(batch.params)) - fold_displacement(batch.params) + d
+
+
 def double_displacement_reconstruct(
     batch_a: ShotBatch, batch_b: ShotBatch, bin_width: float
 ) -> tuple[DensityEstimate, dict]:
@@ -327,6 +357,8 @@ def double_displacement_reconstruct(
     realize |X + d1| and |X + d2| in input-quadrature units; the coordinate
     origin is moved by the smaller displacement, the fold system is solved
     for the shifted variable, and the recovered centers are displaced back.
+    Both batches are binned, one BATCH_CHUNK slice at a time, on the grid
+    [0, extent) whose last bin holds the largest fold coordinate.
     """
     check_method("double", batch_a.params)
     check_method("double", batch_b.params)
@@ -346,6 +378,15 @@ def double_displacement_reconstruct(
         raise ValueError(
             "double_displacement_reconstruct needs two distinct displacements"
         )
-    y = invert_intensity(batch_a.outcomes, batch_a.params) + d_a
-    z = invert_intensity(batch_b.outcomes, batch_b.params) + d_b
-    return unfold_fold_samples(y, z, bin_width, shift=d_a)
+    _check_bin_width(bin_width)
+    top = max(_largest_fold_coordinate(batch_a, d_a), _largest_fold_coordinate(batch_b, d_b))
+    extent = bin_width * (math.floor(top / bin_width) + 1)
+
+    def folded(batch: ShotBatch, d: float) -> QuadratureHistogram:
+        def fold(chunk):
+            values = invert_intensity(chunk, batch.params)
+            values += d
+            return values
+        return _bin_in_chunks(batch.outcomes, fold, bin_width, 0.0, extent)
+
+    return unfold_fold_samples(folded(batch_a, d_a), folded(batch_b, d_b), shift=d_a)

@@ -48,6 +48,7 @@ from opatomo.reconstruct import (
 )
 from opatomo.states import PRESETS, SourceState, preset
 from opatomo.streams import derive_seed
+from fold_helpers import fold_histograms
 from state_helpers import gaussian_1d
 
 N_SHOTS = 100_000
@@ -316,7 +317,7 @@ def test_acceptance_7_bimodal_unfold_benchmark(report):
     rng = np.random.default_rng(0)
     x1, _ = state.sample_xp(50_000, rng)
     x2, _ = state.sample_xp(50_000, rng)
-    estimate, _ = unfold_fold_samples(np.abs(x1), np.abs(x2 + 0.6), 0.2)
+    estimate, _ = unfold_fold_samples(*fold_histograms(np.abs(x1), np.abs(x2 + 0.6), 0.2))
     f = fidelity(estimate, state)
     report(
         7,

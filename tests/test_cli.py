@@ -414,6 +414,22 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
+def test_reconstruct_double_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
+    # The fold grid's extent comes from the largest outcome, so the cap is
+    # checked on the first slice, before the unfold or any file is written.
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "200", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "200", "--seed", "1")
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", second,
+                           "--method", "double", "--bin-width", "1e-7",
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "exceeds the cap of 1000000 bins" in err
+    assert not list(tmp_path.glob("recon_*"))
+
+
 BAD_RUN_ARGUMENTS = {
     "reconstruct-inf": ("reconstruct", ["--bin-width", "inf"], "bin_width"),
     "reconstruct-nan": ("reconstruct", ["--bin-width", "nan"], "bin_width"),

@@ -247,7 +247,8 @@ def test_sweep_samples_each_repeat_chunk_once(monkeypatch, sweep, overrides):
 
 def test_unknown_method_raises_before_anything_is_drawn(monkeypatch):
     calls = _count_source_draws(monkeypatch)
-    with pytest.raises(ValueError, match="unknown method 'double'"):
+    with pytest.raises(ValueError, match="methods: double reads 2 batches per point; sweeps "
+                                         "score one-batch methods only"):
         sweep_displacement(small_spec(methods=("displaced", "double")))
     # A known method that cannot read its detector is refused just as early.
     with pytest.raises(ConfigError, match="methods: standard cannot read the homodyne"):

@@ -28,6 +28,7 @@ from opatomo.reconstruct import (
     unfold_fold_samples,
 )
 from opatomo.states import SourceState, preset
+from fold_helpers import fold_histograms
 from state_helpers import gaussian_1d
 
 
@@ -312,7 +313,7 @@ def test_unfold_exact_recovery():
     counts = np.array([30, 80, 50, 40])
     x = _spikes(values, counts)
     d = 6 * w
-    estimate, diag = unfold_fold_samples(np.abs(x), np.abs(x + d), w)
+    estimate, diag = unfold_fold_samples(*fold_histograms(np.abs(x), np.abs(x + d), w))
     assert diag["n1"] == 4
     assert diag["n2"] == 10
     assert not diag["flipped"]
@@ -332,7 +333,7 @@ def test_unfold_flips_when_support_is_negative():
     counts = np.array([40, 60, 70, 30])
     x = _spikes(values, counts)
     d = 0.6
-    estimate, diag = unfold_fold_samples(np.abs(x), np.abs(x + d), w)
+    estimate, diag = unfold_fold_samples(*fold_histograms(np.abs(x), np.abs(x + d), w))
     assert diag["flipped"]
     assert diag["model_displacement"] == pytest.approx(d, rel=1e-12)
     for v, c in zip(values, counts):
@@ -343,25 +344,29 @@ def test_unfold_flips_when_support_is_negative():
 
 def test_unfold_shift_moves_centers_only():
     x = _spikes([-0.15, 0.05, 0.25, 0.35], [30, 80, 50, 40])
-    a, _ = unfold_fold_samples(np.abs(x), np.abs(x + 0.6), 0.1)
-    b, _ = unfold_fold_samples(np.abs(x), np.abs(x + 0.6), 0.1, shift=0.45)
+    hists = fold_histograms(np.abs(x), np.abs(x + 0.6), 0.1)
+    a, _ = unfold_fold_samples(*hists)
+    b, _ = unfold_fold_samples(*hists, shift=0.45)
     assert np.allclose(a.centers - 0.45, b.centers, atol=1e-12)
     assert np.array_equal(a.masses, b.masses)
 
 
 def test_unfold_degenerate_support():
     with pytest.raises(DegenerateSupport):
-        unfold_fold_samples([], [0.1], 0.1)
+        unfold_fold_samples(*fold_histograms([], [0.1], 0.1))
     # a lone count per bin is below the support threshold
     with pytest.raises(DegenerateSupport):
-        unfold_fold_samples([0.05], [0.65], 0.1)
+        unfold_fold_samples(*fold_histograms([0.05], [0.65], 0.1))
 
 
 def test_unfold_input_validation():
+    # A negative sample falls off the fold grid.
     with pytest.raises(ValueError):
-        unfold_fold_samples([-0.1, 0.1], [0.1, 0.1], 0.1)
+        unfold_fold_samples(*fold_histograms([-0.1, 0.1], [0.1, 0.1], 0.1))
+    # The two folds must share one grid.
     with pytest.raises(ValueError):
-        unfold_fold_samples([0.1, 0.1], [0.1, 0.1], 0.0)
+        unfold_fold_samples(bin_values([0.1, 0.1], 0.1, 0.0, 0.2),
+                            bin_values([0.1, 0.1], 0.05, 0.0, 0.2))
 
 
 def test_unfold_benchmark_asymmetric_mixture():
@@ -372,7 +377,7 @@ def test_unfold_benchmark_asymmetric_mixture():
     x1, _ = state.sample_xp(50_000, rng)
     x2, _ = state.sample_xp(50_000, rng)
     d = 0.6
-    estimate, diag = unfold_fold_samples(np.abs(x1), np.abs(x2 + d), 0.2)
+    estimate, diag = unfold_fold_samples(*fold_histograms(np.abs(x1), np.abs(x2 + d), 0.2))
     f = fidelity(estimate, state)
     assert f == pytest.approx(0.9995680077063201, abs=1e-6)
     assert f >= 0.98
@@ -396,6 +401,14 @@ def test_double_requires_distinct_displacements():
     b = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 1)
     with pytest.raises(ValueError):
         double_displacement_reconstruct(a, b, 0.05)
+
+
+def test_double_refuses_a_non_positive_bin_width():
+    a = run_batch(preset("mix"), ChainParams(displacement=33.0), 200, 0)
+    b = run_batch(preset("mix"), ChainParams(displacement=66.0), 200, 1)
+    for width in (0.0, -0.05):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            double_displacement_reconstruct(a, b, width)
 
 
 def test_double_rejects_homodyne_batches():
