@@ -230,14 +230,11 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     Each chunk's source and chain draws are made once and applied at every
     pair, and the chain terms that pairs share are computed once per chunk
     (``apply_chunk``'s cache); only one chunk's draws and terms are held at a
-    time.  Pairs are tallied by position: the per-chunk counts, overflow,
-    totals and near-zero counts add up exactly to those of the whole batch,
-    and one histogram per pair is built from the sums.
+    time.  Pairs are tallied by position: each pair keeps one running
+    histogram, to which every chunk's histogram is added, and the per-chunk
+    near-zero counts add up exactly to that of the whole batch.
     """
-    grids = [None] * len(pairs)
-    counts = [0] * len(pairs)
-    overflow = [0] * len(pairs)
-    totals = [0] * len(pairs)
+    hists = [None] * len(pairs)
     near_zero = [0] * len(pairs)
     for index, count in enumerate(chunk_sizes(n_shots)):
         draws = draw_chunk(state, seed, index, count)
@@ -245,18 +242,12 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
         for k, (params, method) in enumerate(pairs):
             batch = ShotBatch(apply_chunk(draws, params, cache), params, count, seed, state.label)
             hist = _estimate(method, batch, bin_width)
-            grids[k] = (hist.bin_width, hist.origin)
-            counts[k] += hist.counts  # the first chunk's sum is a new array
-            overflow[k] += hist.overflow
-            totals[k] += hist.n_total
+            hists[k] = hist if hists[k] is None else hists[k] + hist
             if method == "displaced":
                 # The fraction is count / size correctly rounded, so this
                 # recovers the integer count.
                 near_zero[k] += round(near_zero_fraction(batch) * count)
-    return {
-        pair: (QuadratureHistogram(*grid, counts=c, n_total=n, overflow=o), z)
-        for pair, grid, c, n, o, z in zip(pairs, grids, counts, totals, overflow, near_zero)
-    }
+    return {pair: (hist, z) for pair, hist, z in zip(pairs, hists, near_zero)}
 
 
 def _sweep(spec: SweepSpec, at, curves=()) -> list[SweepRow]:

@@ -66,6 +66,17 @@ class QuadratureHistogram:
         if counts.sum() + self.overflow != self.n_total:
             raise ValueError("counts + overflow must equal n_total")
 
+    def __add__(self, other: QuadratureHistogram) -> QuadratureHistogram:
+        """The histogram of both value sets, which must be binned on one grid."""
+        if not isinstance(other, QuadratureHistogram):
+            return NotImplemented
+        if (self.bin_width, self.origin, self.n_bins) != (other.bin_width, other.origin,
+                                                          other.n_bins):
+            raise ValueError("histograms on different grids cannot be added")
+        return QuadratureHistogram(self.bin_width, self.origin, self.counts + other.counts,
+                                   n_total=self.n_total + other.n_total,
+                                   overflow=self.overflow + other.overflow)
+
     @property
     def n_bins(self) -> int:
         return self.counts.size

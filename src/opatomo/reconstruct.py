@@ -19,7 +19,9 @@ fluctuations are physical noise the estimator cannot observe.
 
 from __future__ import annotations
 
+from functools import reduce
 import math
+from operator import add
 
 import numpy as np
 
@@ -51,7 +53,9 @@ __all__ = [
 METHODS = {"standard": ("intensity", 1), "displaced": ("intensity", 1),
            "double": ("intensity", 2), "homodyne": ("homodyne", 1)}
 
-# The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH).
+# The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH);
+# the two-displacement folds |X + d| on [0, GRID_HALF_WIDTH + max|d|), rounded
+# up to a whole bin.
 GRID_HALF_WIDTH = 6.0
 
 # Largest fraction of outcomes within the near-zero cut of the fold point
@@ -182,17 +186,12 @@ def _bin_in_chunks(outcomes: np.ndarray, invert, bin_width: float, lo: float,
     """``bin_values(invert(outcomes), bin_width, lo, hi)``, inverted and binned
     one BATCH_CHUNK slice at a time.
 
-    The slices' integer counts, overflow and totals add up exactly to those
-    of the whole array, so only one slice's estimates are held at a time.  An
-    empty batch is one empty slice, so its histogram still carries the grid.
+    The slices' histograms add up exactly to that of the whole array, so only
+    one slice's estimates are held at a time.  An empty batch is one empty
+    slice, so its histogram still carries the grid.
     """
-    counts, overflow, total = 0, 0, 0
-    for start in range(0, max(outcomes.size, 1), BATCH_CHUNK):
-        hist = bin_values(invert(outcomes[start:start + BATCH_CHUNK]), bin_width, lo, hi)
-        counts += hist.counts  # the first slice's sum is a new array
-        overflow += hist.overflow
-        total += hist.n_total
-    return QuadratureHistogram(bin_width, lo, counts, n_total=total, overflow=overflow)
+    return reduce(add, (bin_values(invert(outcomes[start:start + BATCH_CHUNK]), bin_width, lo, hi)
+                        for start in range(0, max(outcomes.size, 1), BATCH_CHUNK)))
 
 
 def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
@@ -282,18 +281,17 @@ def unfold_fold_samples(
     ``hist_y`` counts magnitudes |X| and ``hist_z`` magnitudes |X + d| of the
     same underlying variable X, for some displacement d > 0, on one positive
     grid with centers (k-1/2)*w; the grid itself fixes the displacement to
-    (n2-n1) whole bins.  The stacked fold system is solved under
-    non-negativity and the recovered masses are returned on centers shifted
-    by ``-shift`` (used by callers that moved the coordinate origin before
-    folding).
+    (n2-n1) whole bins.  Samples off the grid are overflow: they count toward
+    each histogram's total, so they lower the masses but never size the
+    system.  The stacked fold system is solved under non-negativity and the
+    recovered masses are returned on centers shifted by ``-shift`` (used by
+    callers that moved the coordinate origin before folding).
     """
     w = hist_y.bin_width
     if hist_z.bin_width != w or hist_y.origin != 0.0 or hist_z.origin != 0.0:
         raise ValueError("fold histograms must share one bin width and start at 0")
     if hist_y.n_total == 0 or hist_z.n_total == 0:
         raise DegenerateSupport("empty sample set")
-    if hist_y.overflow or hist_z.overflow:
-        raise ValueError("folded samples must be non-negative and lie on the grid")
     n_y = _last_supported_bin(hist_y.counts)
     n_z = _last_supported_bin(hist_z.counts)
     if n_y == 0 or n_z == 0:
@@ -334,19 +332,6 @@ def unfold_fold_samples(
     return estimate, diagnostics
 
 
-def _largest_fold_coordinate(batch: ShotBatch, d: float) -> float:
-    """The largest of ``invert_intensity(batch.outcomes, batch.params) + d``,
-    from the largest outcome alone.
-
-    Each step of the inversion (the clamp at 0, the division, the square
-    root, the subtraction) and the added ``d`` is correctly rounded and
-    monotone non-decreasing, so the largest outcome maps to the largest
-    value bit for bit.
-    """
-    top = float(batch.outcomes.max(initial=0.0))
-    return math.sqrt(top / _intensity_scale(batch.params)) - fold_displacement(batch.params) + d
-
-
 def double_displacement_reconstruct(
     batch_a: ShotBatch, batch_b: ShotBatch, bin_width: float
 ) -> tuple[DensityEstimate, dict]:
@@ -358,7 +343,9 @@ def double_displacement_reconstruct(
     origin is moved by the smaller displacement, the fold system is solved
     for the shifted variable, and the recovered centers are displaced back.
     Both batches are binned, one BATCH_CHUNK slice at a time, on the grid
-    [0, extent) whose last bin holds the largest fold coordinate.
+    [0, extent) whose last bin holds GRID_HALF_WIDTH + max(|d1|, |d2|): the
+    chain fixes it before any outcome is read, and fold coordinates beyond
+    it count as overflow.
     """
     check_method("double", batch_a.params)
     check_method("double", batch_b.params)
@@ -379,7 +366,7 @@ def double_displacement_reconstruct(
             "double_displacement_reconstruct needs two distinct displacements"
         )
     _check_bin_width(bin_width)
-    top = max(_largest_fold_coordinate(batch_a, d_a), _largest_fold_coordinate(batch_b, d_b))
+    top = GRID_HALF_WIDTH + max(abs(d_a), abs(d_b))
     extent = bin_width * (math.floor(top / bin_width) + 1)
 
     def folded(batch: ShotBatch, d: float) -> QuadratureHistogram:

@@ -4,9 +4,10 @@ import json
 import os
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from opatomo.chain import ChainParams, HomodyneDetector
+from opatomo.chain import ChainParams, HomodyneDetector, ShotBatch
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, build_parser, main
 from opatomo.experiments import (
     SweepSpec,
@@ -291,6 +292,31 @@ def test_reconstruct_double_end_to_end(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stray", [1e6, 1e9])
+def test_reconstruct_double_counts_stray_outcomes_as_overflow(capsys, tmp_path, stray):
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "20000", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "20000", "--seed", "1")
+
+    def report(out_dir):
+        code, out, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", second,
+                                 "--method", "double", "--bin-width", "0.2",
+                                 "--out-dir", str(tmp_path / out_dir))
+        assert code == EXIT_OK, err
+        return json.loads(out)
+
+    clean = report("clean")
+    # Two stray rows join the first batch, its header's n_shots following.
+    batch = ShotBatch.from_csv(first)
+    outcomes = np.concatenate([batch.outcomes, [stray, stray]])
+    replace(batch, outcomes=outcomes, n_shots=outcomes.size).to_csv(first)
+    strayed = report("stray")
+    assert strayed["N"] == clean["N"] + 2
+    assert (strayed["diag_n1"], strayed["diag_n2"]) == (clean["diag_n1"], clean["diag_n2"]) == (7, 10)
+    assert strayed["fidelity"] == pytest.approx(clean["fidelity"], abs=1e-3)
+
+
 def test_reconstruct_unknown_batch_state_exits_with_config_error(capsys, tmp_path):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
                      "--n-shots", "100")
@@ -415,8 +441,8 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
 
 
 def test_reconstruct_double_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
-    # The fold grid's extent comes from the largest outcome, so the cap is
-    # checked on the first slice, before the unfold or any file is written.
+    # The fold grid's extent comes from the chain, so the cap is checked on
+    # the first slice, before the unfold or any file is written.
     first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
                      "--n-shots", "200", "--seed", "0")
     second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",

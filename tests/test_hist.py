@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -186,6 +188,29 @@ def test_binner_matches_the_reference_on_every_edge_and_on_empty_input(grid):
         counts, overflow, n_total = _reference_bin_values(values, *grid)
         assert np.array_equal(hist.counts, counts)
         assert (hist.overflow, hist.n_total) == (overflow, n_total)
+
+
+# -- adding histograms ---------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_GRIDS), st.lists(_finite_or_not, max_size=60),
+       st.lists(st.integers(0, 60), max_size=4))
+def test_histograms_of_any_split_add_up_to_the_whole(grid, values, cuts):
+    arr = np.array(values, dtype=float)
+    bounds = [0, *sorted(min(cut, arr.size) for cut in cuts), arr.size]
+    parts = [bin_values(arr[a:b], *grid) for a, b in zip(bounds, bounds[1:])]
+    total = functools.reduce(operator.add, parts)
+    whole = bin_values(arr, *grid)
+    assert np.array_equal(total.counts, whole.counts)
+    assert (total.bin_width, total.origin, total.n_total, total.overflow) == (
+        whole.bin_width, whole.origin, whole.n_total, whole.overflow)
+
+
+@pytest.mark.parametrize("other", [(0.1, 0.0, 2.0), (0.05, 0.05, 1.05), (0.05, 0.0, 1.05)],
+                         ids=["bin width", "origin", "bin count"])
+def test_histograms_on_different_grids_do_not_add(other):
+    with pytest.raises(ValueError, match="different grids"):
+        bin_values([0.1], 0.05, 0.0, 1.0) + bin_values([0.1], *other)
 
 
 # -- fidelity ------------------------------------------------------------------

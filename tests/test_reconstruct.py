@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
+from opatomo import reconstruct
 from opatomo.hist import bin_values, fidelity
 from opatomo.reconstruct import (
     METHODS,
@@ -360,9 +361,19 @@ def test_unfold_degenerate_support():
 
 
 def test_unfold_input_validation():
-    # A negative sample falls off the fold grid.
-    with pytest.raises(ValueError):
-        unfold_fold_samples(*fold_histograms([-0.1, 0.1], [0.1, 0.1], 0.1))
+    # Samples off the fold grid, below it or beyond it, are overflow: each
+    # fold's masses scale by n / (n + k) and the system keeps its size.
+    w = 0.1
+    x = _spikes([-0.15, 0.05, 0.25, 0.35], [30, 80, 50, 40])
+    hist_y, hist_z = fold_histograms(np.abs(x), np.abs(x + 6 * w), w)
+    estimate, diag = unfold_fold_samples(hist_y, hist_z)
+    off_grid = bin_values([-0.1, 1e9, 1e9], w, 0.0, hist_y.n_bins * w)
+    off_estimate, off_diag = unfold_fold_samples(hist_y + off_grid, hist_z + off_grid)
+    assert off_grid.overflow == 3
+    assert (off_diag["n1"], off_diag["n2"]) == (diag["n1"], diag["n2"]) == (4, 10)
+    assert np.array_equal(off_estimate.centers, estimate.centers)
+    np.testing.assert_allclose(off_estimate.masses, estimate.masses * x.size / (x.size + 3),
+                               rtol=0.0, atol=1e-12)
     # The two folds must share one grid.
     with pytest.raises(ValueError):
         unfold_fold_samples(bin_values([0.1, 0.1], 0.1, 0.0, 0.2),
@@ -427,6 +438,40 @@ def test_double_is_order_insensitive():
     assert np.array_equal(e1.masses, e2.masses)
     assert np.array_equal(e1.centers, e2.centers)
     assert d1 == d2
+
+
+@pytest.mark.parametrize("stray", [1e6, 1e9])
+def test_double_counts_stray_outcomes_as_overflow(stray):
+    # The fold grid is fixed by the chain, so two huge outcomes land off it
+    # and neither size the system nor move the model displacement.
+    state = preset("mix")
+    a = run_batch(state, ChainParams(displacement=33.0), 20_000, 0)
+    b = run_batch(state, ChainParams(displacement=66.0), 20_000, 1)
+    clean, clean_diag = double_displacement_reconstruct(a, b, 0.2)
+    outcomes = np.concatenate([a.outcomes, [stray, stray]])
+    estimate, diag = double_displacement_reconstruct(
+        replace(a, outcomes=outcomes, n_shots=outcomes.size), b, 0.2)
+    assert (clean_diag["n1"], clean_diag["n2"]) == (7, 10)
+    assert clean_diag["model_displacement"] == pytest.approx(0.6, rel=1e-12)
+    for key in ("n1", "n2", "model_displacement"):
+        assert diag[key] == clean_diag[key]
+    assert fidelity(estimate, state) == pytest.approx(fidelity(clean, state), abs=1e-3)
+
+
+def test_double_at_negative_displacements(monkeypatch):
+    binned = []
+
+    def spy(*args):
+        binned.append(bin_values(*args))
+        return binned[-1]
+
+    monkeypatch.setattr(reconstruct, "bin_values", spy)
+    a = run_batch(preset("mix"), ChainParams(displacement=-33.0), 20_000, 0)
+    b = run_batch(preset("mix"), ChainParams(displacement=-66.0), 20_000, 1)
+    _, diag = double_displacement_reconstruct(a, b, 0.2)
+    assert binned and all(hist.overflow == 0 for hist in binned)
+    assert (diag["n1"], diag["n2"]) == (7, 10)
+    assert diag["residual"] == pytest.approx(0.0230702821106866, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["mix", "mix_disp"])
