@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
 from opatomo import reconstruct
+from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
 from opatomo.hist import bin_values, fidelity
 from opatomo.reconstruct import (
     METHODS,
