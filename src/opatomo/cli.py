@@ -5,9 +5,9 @@ Commands: ``simulate``, ``reconstruct``, ``sweep``, ``squeeze``,
 stream-derivation scheme, so identical invocations write identical files.
 
 Exit codes: 0 success; 2 configuration or precondition error (the message
-names the offending field); 3 positivity violation (the single-displacement
-estimator refused the batch — supply a second displaced batch and use the
-two-displacement method).
+names the offending field); 3 positivity violation (``check_positivity``
+refused the batch for the single-displacement estimator — supply a second
+displaced batch and use the two-displacement method).
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ from .experiments import (
     validate_scale,
 )
 from .hist import fidelity
-from .reconstruct import (
+# The estimators are called by their METHODS name through these bindings.
+from .reconstruct import (  # noqa: F401
     METHODS,
     PositivityViolation,
+    check_positivity,
     displaced_reconstruct,
     double_displacement_reconstruct,
     homodyne_reconstruct,
@@ -196,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = build_config(args, _RECONSTRUCT_REFUSES)
     paths = [args.batch, args.batch2] if args.batch2 else [args.batch]
-    count = METHODS[config.method][1]
+    _, count, estimator = METHODS[config.method]
     if len(paths) != count:
         raise ConfigError("batch2", f"{config.method} reads {count} batch(es), not {len(paths)}")
     batches = [ShotBatch.from_csv(path) for path in paths]
@@ -206,15 +208,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                                    "see `opatomo presets`")
     state = preset(batch.state_label)
 
-    diag: dict = {}
-    if config.method == "double":
-        estimate, diag = double_displacement_reconstruct(*batches, config.bin_width)
-    elif config.method == "standard":
-        estimate = standard_reconstruct(batch, config.bin_width)
-    elif config.method == "displaced":
-        estimate = displaced_reconstruct(batch, config.bin_width)
-    else:
-        estimate = homodyne_reconstruct(batch, config.bin_width)
+    if config.method == "displaced":
+        check_positivity(batch)
+    estimate = globals()[estimator](*batches, config.bin_width)
+    # An estimator that reads two batches returns its estimate and diagnostics.
+    estimate, diag = estimate if count == 2 else (estimate, {})
     f = fidelity(estimate, state)
 
     os.makedirs(config.out_dir, exist_ok=True)

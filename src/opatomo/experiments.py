@@ -46,8 +46,9 @@ from .distill import (
     loss_corrected_variance,
     select_peak,
 )
-from .hist import QuadratureHistogram, analytic_point_density, fidelity
-from .reconstruct import (
+from .hist import analytic_point_density, fidelity
+# The estimators are called by their METHODS name through these bindings.
+from .reconstruct import (  # noqa: F401
     METHODS,
     POSITIVITY_THRESHOLD,
     check_method,
@@ -90,7 +91,7 @@ SATURATION_FACTOR = 1.5
 KNEE_FACTOR = 2.0
 
 # Methods a sweep point can score: those that read one batch per point.
-SWEEP_METHODS = tuple(method for method, (_, batches) in METHODS.items() if batches == 1)
+SWEEP_METHODS = tuple(method for method, (_, batches, _) in METHODS.items() if batches == 1)
 
 _ROBUSTNESS_FIELDS = (
     "input_noise",
@@ -215,14 +216,6 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _estimate(method: str, batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
-    if method == "standard":
-        return standard_reconstruct(batch, bin_width)
-    if method == "displaced":
-        return displaced_reconstruct(batch, bin_width, enforce_positivity=False)
-    return homodyne_reconstruct(batch, bin_width)
-
-
 def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: int) -> dict:
     """``(params, method) -> (histogram, near-zero count)`` over one repeat
     seed's batch, for every pair.
@@ -241,7 +234,7 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
         cache: dict = {}
         for k, (params, method) in enumerate(pairs):
             batch = ShotBatch(apply_chunk(draws, params, cache), params, count, seed, state.label)
-            hist = _estimate(method, batch, bin_width)
+            hist = globals()[METHODS[method][2]](batch, bin_width)
             hists[k] = hist if hists[k] is None else hists[k] + hist
             if method == "displaced":
                 # The fraction is count / size correctly rounded, so this

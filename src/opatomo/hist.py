@@ -40,6 +40,15 @@ def _check_bin_width(bin_width: float) -> None:
         raise ValueError(f"bin_width must be positive and finite (got {bin_width!r})")
 
 
+def _check_bin_count(span: float, bin_width: float) -> None:
+    """Refuse a grid of ``span`` bins beyond MAX_BINS before it is built."""
+    if span > MAX_BINS:
+        raise ValueError(
+            f"a grid of {span:.4g} bins of width {bin_width!r} exceeds the cap of "
+            f"{MAX_BINS} bins; use a wider bin width"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureHistogram:
     """Integer counts on a uniform grid starting at `origin`.
@@ -135,11 +144,7 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
     if hi <= lo:
         raise ValueError("hi must exceed lo")
     span = (hi - lo) / bin_width
-    if span > MAX_BINS:
-        raise ValueError(
-            f"a grid of {span:.4g} bins of width {bin_width!r} exceeds the cap of "
-            f"{MAX_BINS} bins; use a wider bin width"
-        )
+    _check_bin_count(span, bin_width)
     n_bins = int(round(span))
     if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
         raise ValueError("grid range must be an integer number of bins")

@@ -19,14 +19,13 @@ fluctuations are physical noise the estimator cannot observe.
 
 from __future__ import annotations
 
-from functools import reduce
 import math
-from operator import add
 
 import numpy as np
 
 from .chain import BATCH_CHUNK, ChainParams, ConfigError, ShotBatch
-from .hist import DensityEstimate, QuadratureHistogram, _check_bin_width, bin_values
+from .hist import (DensityEstimate, QuadratureHistogram, _check_bin_count, _check_bin_width,
+                   bin_values)
 from .nnls import solve_nnls
 
 __all__ = [
@@ -47,11 +46,16 @@ __all__ = [
     "homodyne_reconstruct",
     "METHODS",
     "check_method",
+    "check_positivity",
 ]
 
-# Each estimator -> (the detector kind it reads, the number of batches it reads).
-METHODS = {"standard": ("intensity", 1), "displaced": ("intensity", 1),
-           "double": ("intensity", 2), "homodyne": ("homodyne", 1)}
+# Each method -> (the detector kind it reads, the number of batches it reads,
+# the name of the estimator that reads them).  Callers look the estimator up
+# in their own module's bindings, so a wrapper put there sees every call.
+METHODS = {"standard": ("intensity", 1, "standard_reconstruct"),
+           "displaced": ("intensity", 1, "displaced_reconstruct"),
+           "double": ("intensity", 2, "double_displacement_reconstruct"),
+           "homodyne": ("homodyne", 1, "homodyne_reconstruct")}
 
 # The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH);
 # the two-displacement folds |X + d| on [0, GRID_HALF_WIDTH + max|d|), rounded
@@ -106,6 +110,20 @@ def check_method(method: str, params: ChainParams, key: str = "method") -> None:
         raise ConfigError(key, "standard needs a batch taken at zero displacement")
 
 
+def check_positivity(batch: ShotBatch) -> None:
+    """Refuse a batch the single-displacement estimator cannot read.
+
+    ``check_method("displaced", ...)`` refuses first; then, when more than
+    POSITIVITY_THRESHOLD of the outcomes fall within the near-zero cut of
+    the fold point, the sign branch is ambiguous and a PositivityViolation
+    directs the caller to the two-displacement estimator.
+    """
+    check_method("displaced", batch.params)
+    fraction = near_zero_fraction(batch)
+    if fraction > POSITIVITY_THRESHOLD:
+        raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
+
+
 def _intensity_scale(params: ChainParams) -> float:
     """Nominal photon number per squared input quadrature."""
     return math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
@@ -154,7 +172,6 @@ def invert_intensity(outcomes, params: ChainParams) -> np.ndarray:
 
 def invert_homodyne(outcomes, params: ChainParams) -> np.ndarray:
     """Affine inversion of homodyne currents (unbiased by construction)."""
-    check_method("homodyne", params)
     det = params.detector
     gain_amp = math.exp(params.gain)
     denom = gain_amp * det.lo_amplitude * math.sqrt(
@@ -181,17 +198,24 @@ def near_zero_fraction(batch: ShotBatch) -> float:
     return np.count_nonzero(batch.outcomes < limit) / batch.outcomes.size
 
 
-def _bin_in_chunks(outcomes: np.ndarray, invert, bin_width: float, lo: float,
-                   hi: float) -> QuadratureHistogram:
-    """``bin_values(invert(outcomes), bin_width, lo, hi)``, inverted and binned
-    one BATCH_CHUNK slice at a time.
+def _bin_in_chunks(batch: ShotBatch, bin_width: float, lo: float, hi: float,
+                   shift: float = 0.0) -> QuadratureHistogram:
+    """The histogram on [lo, hi) of the batch's inverted outcomes plus
+    ``shift``, inverted and binned one BATCH_CHUNK slice at a time.
 
-    The slices' histograms add up exactly to that of the whole array, so only
-    one slice's estimates are held at a time.  An empty batch is one empty
-    slice, so its histogram still carries the grid.
+    The inversion is the batch detector's.  The slices' histograms add up
+    exactly to that of the whole array, so only one slice's estimates are
+    held at a time.  An empty batch is one empty slice, so its histogram
+    still carries the grid.
     """
-    return reduce(add, (bin_values(invert(outcomes[start:start + BATCH_CHUNK]), bin_width, lo, hi)
-                        for start in range(0, max(outcomes.size, 1), BATCH_CHUNK)))
+    invert = invert_homodyne if batch.params.detector.kind == "homodyne" else invert_intensity
+    total = None
+    for start in range(0, max(batch.outcomes.size, 1), BATCH_CHUNK):
+        values = invert(batch.outcomes[start:start + BATCH_CHUNK], batch.params)
+        values += shift
+        hist = bin_values(values, bin_width, lo, hi)
+        total = hist if total is None else total + hist
+    return total
 
 
 def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
@@ -204,8 +228,7 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     Requires an undisplaced batch.
     """
     check_method("standard", batch.params)
-    half = _bin_in_chunks(batch.outcomes, lambda chunk: invert_intensity(chunk, batch.params),
-                          bin_width, 0.0, GRID_HALF_WIDTH)
+    half = _bin_in_chunks(batch, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
     return QuadratureHistogram(
         bin_width=bin_width,
@@ -216,31 +239,21 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     )
 
 
-def displaced_reconstruct(
-    batch: ShotBatch, bin_width: float, enforce_positivity: bool = True
-) -> QuadratureHistogram:
+def displaced_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Single-displacement reconstruction.
 
     The displacement is already subtracted inside the inversion, so the
-    returned histogram lives on the original quadrature axis.  When more
-    than ``POSITIVITY_THRESHOLD`` of the outcomes fall within the near-zero
-    cut of the fold point the sign branch is ambiguous; with
-    ``enforce_positivity`` a PositivityViolation is raised to direct the
-    caller to the two-displacement estimator.
+    returned histogram lives on the original quadrature axis.  The histogram
+    is only trustworthy on a batch that passes ``check_positivity``.
     """
     check_method("displaced", batch.params)
-    if enforce_positivity:
-        fraction = near_zero_fraction(batch)
-        if fraction > POSITIVITY_THRESHOLD:
-            raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
-    return _bin_in_chunks(batch.outcomes, lambda chunk: invert_intensity(chunk, batch.params),
-                          bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
+    return _bin_in_chunks(batch, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
 def homodyne_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
     """Histogram of affinely inverted homodyne currents."""
-    return _bin_in_chunks(batch.outcomes, lambda chunk: invert_homodyne(chunk, batch.params),
-                          bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
+    check_method("homodyne", batch.params)
+    return _bin_in_chunks(batch, bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
 
 
 def build_fold_matrices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,13 +380,8 @@ def double_displacement_reconstruct(
         )
     _check_bin_width(bin_width)
     top = GRID_HALF_WIDTH + max(abs(d_a), abs(d_b))
-    extent = bin_width * (math.floor(top / bin_width) + 1)
-
-    def folded(batch: ShotBatch, d: float) -> QuadratureHistogram:
-        def fold(chunk):
-            values = invert_intensity(chunk, batch.params)
-            values += d
-            return values
-        return _bin_in_chunks(batch.outcomes, fold, bin_width, 0.0, extent)
-
-    return unfold_fold_samples(folded(batch_a, d_a), folded(batch_b, d_b), shift=d_a)
+    span = top / bin_width
+    _check_bin_count(span, bin_width)
+    extent = bin_width * (math.floor(span) + 1)
+    return unfold_fold_samples(_bin_in_chunks(batch_a, bin_width, 0.0, extent, d_a),
+                               _bin_in_chunks(batch_b, bin_width, 0.0, extent, d_b), shift=d_a)

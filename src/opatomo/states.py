@@ -167,17 +167,6 @@ def _fock_half_width(n: int) -> float:
     return math.sqrt(2.0 * n + 1.0) + 6.0
 
 
-def _cumulative_quadratic(y: np.ndarray, dx: float) -> np.ndarray:
-    """Antiderivative samples of y on a uniform grid, local quadratic rule."""
-    inc = np.empty(y.size - 1)
-    inc[0] = dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
-    inc[1:] = dx * (-y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]) / 12.0
-    out = np.empty(y.size)
-    out[0] = 0.0
-    np.cumsum(np.maximum(inc, 0.0), out=out[1:])
-    return out
-
-
 def _fock_cdf(n: int, x: np.ndarray) -> np.ndarray:
     # Exact.  With u = sqrt(2) x, d/du (psi_{k-1} psi_k) = sqrt(2k) (psi_{k-1}^2 - psi_k^2),
     # and psi_0^2 integrates to Phi(2x), so
@@ -191,8 +180,7 @@ def _fock_cdf(n: int, x: np.ndarray) -> np.ndarray:
 def _fock_sampling_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     half = _fock_half_width(n)
     grid = np.linspace(-half, half, _SAMPLE_GRID)
-    cum = _cumulative_quadratic(_fock_pdf(n, grid), grid[1] - grid[0])
-    cum /= cum[-1]
+    cum = _fock_cdf(n, grid)
     keep = np.concatenate(([True], np.diff(cum) > 0))
     return cum[keep], grid[keep]
 

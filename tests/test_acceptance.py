@@ -141,8 +141,7 @@ def test_acceptance_1a_ideal_displacement_gain(report, ideal_displacement_sweep)
     params = replace(ideal_displacement_sweep.spec.params, displacement=summary["optimal_d"])
     displaced = np.array([
         1.0 - fidelity(
-            displaced_reconstruct(run_batch(state, params, N_SHOTS, s), SweepSpec.bin_width,
-                                  enforce_positivity=False),
+            displaced_reconstruct(run_batch(state, params, N_SHOTS, s), SweepSpec.bin_width),
             state,
         )
         for s in GATE_SEEDS

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from opatomo import cli, reconstruct
 from opatomo.chain import ChainParams, HomodyneDetector, ShotBatch
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, build_parser, main
 from opatomo.experiments import (
@@ -16,6 +17,7 @@ from opatomo.experiments import (
     squeezing_table,
     sweep_gain,
 )
+from opatomo.reconstruct import METHODS
 from opatomo.states import SourceState
 
 
@@ -168,7 +170,7 @@ SIMULATE_DIGESTS = {
         ["--state", "fock2", "--detector", "homodyne", "--n-shots", "300",
          "--set", "efficiency=0.8", "--set", "electronic_noise=0.1", "--seed", "5"],
         "batch_fock2_5",
-        "8c749567bebc27aeae67306440c437c6df04591de8a7aac44e78acfb4453530e",
+        "e5b2eb900657c645f84e84a76be386b69be7f165e9d6a5885b16a8962fbe8dba",
         "1921e751e05624f1f946b46572ebb29ad96ce0f73a8277a48f6f586778777c9a",
     ),
 }
@@ -454,6 +456,30 @@ def test_reconstruct_double_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_p
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "exceeds the cap of 1000000 bins" in err
     assert not list(tmp_path.glob("recon_*"))
+
+
+def test_reconstruct_double_refuses_a_subnormal_bin_width(capsys, tmp_path):
+    # The fold grid's bin count overflows to inf; the cap refuses it before
+    # the count is rounded to an integer.
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "200", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "200", "--seed", "1")
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", second,
+                           "--method", "double", "--bin-width", "5e-324",
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err == ("error: a grid of inf bins of width 5e-324 exceeds the cap of 1000000 "
+                   "bins; use a wider bin width\n")
+    assert not list(tmp_path.glob("recon_*"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cli_binds_every_estimator(method):
+    # reconstruct calls each estimator by its METHODS name through the cli
+    # module's bindings, so a missing import would fail only at run time.
+    name = METHODS[method][2]
+    assert getattr(cli, name) is getattr(reconstruct, name)
 
 
 BAD_RUN_ARGUMENTS = {

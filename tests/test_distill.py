@@ -21,7 +21,7 @@ from opatomo.reconstruct import displaced_reconstruct
 from opatomo.states import preset
 
 
-def _estimate(masses, bin_width=0.1, first_center=0.0):
+def _density_estimate(masses, bin_width=0.1, first_center=0.0):
     masses = np.asarray(masses, dtype=float)
     centers = first_center + bin_width * np.arange(masses.size)
     return DensityEstimate(centers=centers, masses=masses, bin_width=bin_width)
@@ -59,13 +59,13 @@ def test_fit_window_off_apex_recovers_same_parabola():
 
 
 def test_fit_rejects_convex_data():
-    est = _estimate([3.0, 1.0, 3.0])
+    est = _density_estimate([3.0, 1.0, 3.0])
     with pytest.raises(NotConcave):
         fit_parabola(est, 1, 3)
 
 
 def test_fit_window_must_stay_inside():
-    est = _estimate([1.0, 2.0, 1.0, 0.5, 0.2])
+    est = _density_estimate([1.0, 2.0, 1.0, 0.5, 0.2])
     with pytest.raises(OutOfRange):
         fit_parabola(est, 0, 3)
     with pytest.raises(OutOfRange):
@@ -76,7 +76,7 @@ def test_fit_window_must_stay_inside():
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_fit_m_must_be_odd_and_at_least_three(m):
-    est = _estimate([1.0, 2.0, 1.0])
+    est = _density_estimate([1.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         fit_parabola(est, 1, m)
 
@@ -92,27 +92,27 @@ def test_distillable_variance_arithmetic():
 # -- peak finding ----------------------------------------------------------------
 
 def test_find_local_maxima_simple_peak():
-    assert find_local_maxima(_estimate([1.0, 3.0, 1.0])) == [1]
+    assert find_local_maxima(_density_estimate([1.0, 3.0, 1.0])) == [1]
 
 
 def test_find_local_maxima_plateau_reports_leftmost():
-    assert find_local_maxima(_estimate([1.0, 3.0, 3.0, 1.0])) == [1]
+    assert find_local_maxima(_density_estimate([1.0, 3.0, 3.0, 1.0])) == [1]
 
 
 def test_find_local_maxima_sorted_by_mass():
-    assert find_local_maxima(_estimate([0.0, 2.0, 0.0, 5.0, 0.0])) == [3, 1]
+    assert find_local_maxima(_density_estimate([0.0, 2.0, 0.0, 5.0, 0.0])) == [3, 1]
 
 
 def test_find_local_maxima_wide_window():
     masses = [5.0, 0.0, 0.0, 4.0, 0.0, 0.0]
-    assert find_local_maxima(_estimate(masses), window=3) == [0]
-    assert find_local_maxima(_estimate(masses), window=1) == [0, 3]
+    assert find_local_maxima(_density_estimate(masses), window=3) == [0]
+    assert find_local_maxima(_density_estimate(masses), window=1) == [0, 3]
 
 
 def test_find_local_maxima_empty_and_validation():
-    assert find_local_maxima(_estimate([0.0, 0.0, 0.0])) == []
+    assert find_local_maxima(_density_estimate([0.0, 0.0, 0.0])) == []
     with pytest.raises(ValueError):
-        find_local_maxima(_estimate([1.0]), window=0)
+        find_local_maxima(_density_estimate([1.0]), window=0)
 
 
 def test_select_peak_prefers_origin_then_lower_index():
@@ -132,13 +132,13 @@ def test_select_peak_prefers_origin_then_lower_index():
 
 
 def test_select_peak_highest_mass_wins():
-    est = _estimate([0.0, 3.0, 0.0, 4.0, 0.0], first_center=-0.2)
+    est = _density_estimate([0.0, 3.0, 0.0, 4.0, 0.0], first_center=-0.2)
     assert select_peak(est) == 3
 
 
 def test_select_peak_requires_a_maximum():
     with pytest.raises(DistillError):
-        select_peak(_estimate([0.0, 0.0]))
+        select_peak(_density_estimate([0.0, 0.0]))
 
 
 # -- analytic references -------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_simulated_peak_sits_near_origin():
 def test_simulated_variance_independent_of_displacement():
     def v_at(d, seed):
         batch = run_batch(preset("sq"), ChainParams(displacement=d), 100_000, seed)
-        hist = displaced_reconstruct(batch, 0.05, enforce_positivity=False)
+        hist = displaced_reconstruct(batch, 0.05)
         fit = fit_parabola(hist, select_peak(hist, window=3), 5)
         return distillable_variance(fit)
 

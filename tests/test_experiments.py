@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opatomo import experiments
+from opatomo import experiments, reconstruct
 from opatomo.chain import BATCH_CHUNK, ChainParams, ConfigError, HomodyneDetector, run_batch
 from opatomo.distill import NotConcave
 from opatomo.experiments import (
@@ -23,11 +23,11 @@ from opatomo.experiments import (
 )
 from opatomo.hist import QuadratureHistogram
 from opatomo.reconstruct import (
-    displaced_reconstruct,
+    METHODS,
+    PositivityViolation,
+    check_positivity,
     fold_displacement,
-    homodyne_reconstruct,
     near_zero_fraction,
-    standard_reconstruct,
 )
 from opatomo.states import SourceState, preset
 
@@ -263,6 +263,36 @@ def test_unknown_method_raises_before_anything_is_drawn(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("method", experiments.SWEEP_METHODS)
+def test_engine_binds_every_sweep_estimator(method):
+    # The engine calls each estimator by its METHODS name through its own
+    # bindings, so a missing import would fail only when a sweep runs.
+    name = METHODS[method][2]
+    assert getattr(experiments, name) is getattr(reconstruct, name)
+
+
+def test_engine_positivity_agrees_with_check_positivity():
+    # The engine records the near-zero fraction and positivity_ok without
+    # refusing; check_positivity refuses the same draws exactly where
+    # positivity_ok is False.
+    spec = small_spec(methods=("displaced",), grid=(10.0, 31.6, 100.0), n_shots=20_000,
+                      repeats=1)
+    seed = experiments._repeat_seeds(spec)[0]
+    verdicts = []
+    for row in sweep_displacement(spec).rows:
+        params = replace(spec.params, displacement=row.param_value)
+        batch = run_batch(preset(spec.state), params, spec.n_shots, seed)
+        assert row.aux["near_zero_fraction"] == near_zero_fraction(batch)
+        try:
+            check_positivity(batch)
+            accepted = True
+        except PositivityViolation as exc:
+            assert exc.fraction == row.aux["near_zero_fraction"]
+            accepted = False
+        verdicts.append((row.aux["positivity_ok"], accepted))
+    assert verdicts == [(False, False), (False, False), (True, True)]
+
+
 def test_engine_histograms_equal_the_estimators_on_run_batch():
     # One shared draw per chunk, applied at every pair and summed over
     # chunks, gives bit for bit what each estimator makes of the whole batch.
@@ -273,16 +303,11 @@ def test_engine_histograms_equal_the_estimators_on_run_batch():
         (ChainParams(displacement=20.0), "displaced"),
         (ChainParams(displacement=10.0, detector=homodyne), "homodyne"),
     ]
-    estimators = {
-        "standard": standard_reconstruct,
-        "displaced": lambda b, w: displaced_reconstruct(b, w, enforce_positivity=False),
-        "homodyne": homodyne_reconstruct,
-    }
     result = experiments._seed_histograms(state, pairs, 0.05, n, seed)
     for params, method in pairs:
         hist, near_zero = result[params, method]
         batch = run_batch(state, params, n, seed)
-        ref = estimators[method](batch, 0.05)
+        ref = getattr(reconstruct, METHODS[method][2])(batch, 0.05)
         assert np.array_equal(hist.counts, ref.counts)
         assert (hist.n_total, hist.overflow) == (ref.n_total, ref.overflow)
         if method == "displaced":

@@ -16,6 +16,7 @@ from opatomo.reconstruct import (
     PositivityViolation,
     build_fold_matrices,
     check_method,
+    check_positivity,
     displaced_reconstruct,
     double_displacement_reconstruct,
     fold_displacement,
@@ -113,9 +114,10 @@ def test_inversions_leave_their_argument_unchanged():
         assert outcomes.tobytes() == before
 
 
-def test_invert_homodyne_requires_homodyne_batch():
-    with pytest.raises(ValueError):
-        invert_homodyne([1.0], ChainParams())
+def test_homodyne_reconstruct_requires_homodyne_batch():
+    batch = run_batch(preset("sq"), ChainParams(), 100, 0)
+    with pytest.raises(ConfigError, match="^method: homodyne cannot read the intensity detector"):
+        homodyne_reconstruct(batch, 0.05)
 
 
 # -- noise scale / positivity gating ------------------------------------------------
@@ -163,14 +165,15 @@ def test_displaced_passes_positivity_far_from_fold():
 def test_displaced_raises_positivity_at_zero_displacement():
     batch = run_batch(preset("sq"), ChainParams(), 20_000, 7)
     with pytest.raises(PositivityViolation) as info:
-        displaced_reconstruct(batch, 0.05)
+        check_positivity(batch)
     exc = info.value
     assert exc.fraction > POSITIVITY_THRESHOLD
     assert exc.fraction == near_zero_fraction(batch)
     assert exc.cut == pytest.approx(0.40329709503271144, rel=1e-12)
     assert exc.threshold == POSITIVITY_THRESHOLD
-    # the escape hatch for sweeps that just want the (bad) histogram
-    hist = displaced_reconstruct(batch, 0.05, enforce_positivity=False)
+    # The estimator itself has no positivity gate: it returns the (bad)
+    # histogram, as the sweeps want.
+    hist = displaced_reconstruct(batch, 0.05)
     assert hist.n_total == 20_000
     assert near_zero_fraction(batch) > 0.3
 
@@ -217,12 +220,13 @@ def test_intensity_estimators_reject_homodyne_batches():
         displaced_reconstruct(batch, 0.05)
 
 
+# Each method's estimator, through METHODS; the two-displacement one gets a
+# second batch at d = 66.
 _ESTIMATORS = {
-    "standard": standard_reconstruct,
-    "displaced": lambda batch, w: displaced_reconstruct(batch, w, enforce_positivity=False),
+    **{method: getattr(reconstruct, name)
+       for method, (_, batches, name) in METHODS.items() if batches == 1},
     "double": lambda batch, w: double_displacement_reconstruct(
         batch, run_batch(preset("mix"), replace(batch.params, displacement=66.0), 2_000, 1), w),
-    "homodyne": homodyne_reconstruct,
 }
 
 

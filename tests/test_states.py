@@ -13,6 +13,7 @@ from opatomo.states import (
     GaussianComponent,
     PRESETS,
     SourceState,
+    _fock_sampling_table,
     hermite_functions,
     ndtr,
     preset,
@@ -166,6 +167,16 @@ def test_fock1_sampling_moments():
     x, _ = preset("fock1").sample_xp(1_000_000, stream(12, 0))
     assert abs(float(np.mean(x))) < 3e-3
     assert float(np.var(x)) == pytest.approx(0.75, abs=5e-3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, MAX_FOCK])
+def test_fock_sampling_table_samples_the_exact_cdf(n):
+    # The inverse-CDF table is the exact marginal CDF at its nodes, strictly
+    # increasing, so interpolating it is a valid inverse.
+    cum, grid = _fock_sampling_table(n)
+    assert (np.diff(cum) > 0).all() and (np.diff(grid) > 0).all()
+    np.testing.assert_allclose(cum, SourceState.fock(n).marginal_cdf(grid), rtol=0, atol=1e-15)
+    assert cum[0] < 1e-40 and cum[-1] == 1.0
 
 
 def test_squeezed_sampling_ellipse():
