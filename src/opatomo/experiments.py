@@ -46,9 +46,10 @@ from .distill import (
     loss_corrected_variance,
     select_peak,
 )
-from .hist import analytic_point_density, fidelity
+from .hist import analytic_point_density, fidelity, grid_bins
 # The estimators are called by their METHODS name through these bindings.
 from .reconstruct import (  # noqa: F401
+    GRID_HALF_WIDTH,
     METHODS,
     POSITIVITY_THRESHOLD,
     check_method,
@@ -136,6 +137,10 @@ class SweepSpec:
         if self.repeats < 1:
             raise ConfigError("repeats", "must be at least 1")
         validate_scale(self.n_shots, self.seed, self.bin_width)
+        try:  # every sweep estimator's grid spans 2 * GRID_HALF_WIDTH
+            grid_bins(self.bin_width, -GRID_HALF_WIDTH, GRID_HALF_WIDTH)
+        except ValueError as exc:
+            raise ConfigError("bin_width", str(exc)) from None
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError("methods", f"unknown method {method!r}")

@@ -23,6 +23,7 @@ from .states import SourceState
 __all__ = [
     "QuadratureHistogram",
     "DensityEstimate",
+    "grid_bins",
     "bin_values",
     "fidelity",
     "fidelity_from_masses",
@@ -31,7 +32,7 @@ __all__ = [
 ]
 
 
-# Largest grid bin_values builds; a finer grid is refused, not allocated.
+# Largest grid grid_bins sizes; a finer grid is refused, not allocated.
 MAX_BINS = 1_000_000
 
 
@@ -40,13 +41,23 @@ def _check_bin_width(bin_width: float) -> None:
         raise ValueError(f"bin_width must be positive and finite (got {bin_width!r})")
 
 
-def _check_bin_count(span: float, bin_width: float) -> None:
-    """Refuse a grid of ``span`` bins beyond MAX_BINS before it is built."""
-    if span > MAX_BINS:
-        raise ValueError(
-            f"a grid of {span:.4g} bins of width {bin_width!r} exceeds the cap of "
-            f"{MAX_BINS} bins; use a wider bin width"
-        )
+def grid_bins(bin_width: float, lo: float, hi: float) -> tuple[int, float]:
+    """The bin count and top of the grid of ``bin_width`` bins from ``lo``:
+    exactly [lo, hi) when that is a whole number of bins to within 1e-9 of a
+    bin, else rounded up to ceil((hi - lo) / bin_width) bins.  A bad width,
+    hi <= lo and a grid of more than MAX_BINS bins are refused."""
+    _check_bin_width(bin_width)
+    if not lo < hi:
+        raise ValueError("hi must exceed lo")
+    span = (hi - lo) / bin_width
+    n_bins, top = (round(span), hi) if span < math.inf else (span, math.inf)
+    if span < math.inf and abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
+        n_bins = math.ceil(span)
+        top = lo + n_bins * bin_width
+    if n_bins > MAX_BINS:
+        raise ValueError(f"a grid of {n_bins} bins of width {bin_width!r} exceeds the cap of "
+                         f"{MAX_BINS} bins; use a wider bin width")
+    return n_bins, top
 
 
 @dataclass(frozen=True)
@@ -133,26 +144,18 @@ class DensityEstimate:
 
 
 def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHistogram:
-    """Histogram `values` on [lo, hi) with the given width.
+    """Histogram `values` on the grid ``grid_bins(bin_width, lo, hi)`` sizes.
 
-    hi - lo must be an integer number of bins, at most MAX_BINS. A value
-    lands in bin floor((v - lo) / bin_width); anything outside [lo, hi)
-    increments the overflow counter instead.
+    A value lands in bin floor((v - lo) / bin_width); anything outside
+    [lo, top) increments the overflow counter instead.
     """
     values = np.asarray(values, dtype=float)
-    _check_bin_width(bin_width)
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    span = (hi - lo) / bin_width
-    _check_bin_count(span, bin_width)
-    n_bins = int(round(span))
-    if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
-        raise ValueError("grid range must be an integer number of bins")
+    n_bins, top = grid_bins(bin_width, lo, hi)
     pos = values - lo
     pos /= bin_width
     in_range = pos >= 0
     in_range &= pos < n_bins
-    in_range &= values < hi
+    in_range &= values < top
     # Every value off the grid (NaN included) moves to the extra slot n_bins
     # before the cast, so the cast only ever truncates a non-negative
     # in-range position to its floor, and that slot counts the overflow.
@@ -194,9 +197,7 @@ def fidelity(estimate: QuadratureHistogram | DensityEstimate, state: SourceState
 
 def analytic_bins(state: SourceState, bin_width: float, lo: float, hi: float) -> DensityEstimate:
     """The state's exact marginal, binned; the noiseless reference estimate."""
-    n_bins = int(round((hi - lo) / bin_width))
-    if abs(lo + n_bins * bin_width - hi) > 1e-9 * bin_width:
-        raise ValueError("grid range must be an integer number of bins")
+    n_bins, _ = grid_bins(bin_width, lo, hi)
     edges = lo + bin_width * np.arange(n_bins + 1)
     p = state.bin_probabilities(edges)
     return DensityEstimate(centers=0.5 * (edges[:-1] + edges[1:]), masses=p, bin_width=bin_width)

@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 from .chain import BATCH_CHUNK, ChainParams, ConfigError, ShotBatch
-from .hist import (DensityEstimate, QuadratureHistogram, _check_bin_count, _check_bin_width,
-                   bin_values)
+from .hist import DensityEstimate, QuadratureHistogram, bin_values, grid_bins
 from .nnls import solve_nnls
 
 __all__ = [
@@ -58,8 +57,8 @@ METHODS = {"standard": ("intensity", 1, "standard_reconstruct"),
            "homodyne": ("homodyne", 1, "homodyne_reconstruct")}
 
 # The single-pass estimators histogram on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH);
-# the two-displacement folds |X + d| on [0, GRID_HALF_WIDTH + max|d|), rounded
-# up to a whole bin.
+# the two-displacement folds |X + d| on [0, GRID_HALF_WIDTH + max|d|); each
+# grid is rounded up to whole bins by ``grid_bins``.
 GRID_HALF_WIDTH = 6.0
 
 # Largest fraction of outcomes within the near-zero cut of the fold point
@@ -200,8 +199,9 @@ def near_zero_fraction(batch: ShotBatch) -> float:
 
 def _bin_in_chunks(batch: ShotBatch, bin_width: float, lo: float, hi: float,
                    shift: float = 0.0) -> QuadratureHistogram:
-    """The histogram on [lo, hi) of the batch's inverted outcomes plus
-    ``shift``, inverted and binned one BATCH_CHUNK slice at a time.
+    """The histogram on ``grid_bins(bin_width, lo, hi)`` of the batch's
+    inverted outcomes plus ``shift``, inverted and binned one BATCH_CHUNK
+    slice at a time.
 
     The inversion is the batch detector's.  The slices' histograms add up
     exactly to that of the whole array, so only one slice's estimates are
@@ -222,17 +222,18 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     """Symmetric reconstruction: fold, histogram, mirror.
 
     Every outcome is mapped to a non-negative quadrature value, histogrammed
-    on ``[0, GRID_HALF_WIDTH)``, and each bin's mass is split equally onto the
-    mirrored pair of bins so the result lives on the full axis and is
-    directly comparable with the other estimators under the fidelity metric.
-    Requires an undisplaced batch.
+    on the half grid from 0 up to ``GRID_HALF_WIDTH`` in whole bins, [0, top),
+    and each bin's mass is split equally onto the mirrored pair of bins, so
+    the result lives on [-top, top) and is directly comparable with the other
+    estimators under the fidelity metric.  Requires an undisplaced batch.
     """
     check_method("standard", batch.params)
+    _, top = grid_bins(bin_width, 0.0, GRID_HALF_WIDTH)
     half = _bin_in_chunks(batch, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
     return QuadratureHistogram(
         bin_width=bin_width,
-        origin=-GRID_HALF_WIDTH,
+        origin=-top,
         counts=counts,
         n_total=2 * half.n_total,
         overflow=2 * half.overflow,
@@ -356,9 +357,9 @@ def double_displacement_reconstruct(
     origin is moved by the smaller displacement, the fold system is solved
     for the shifted variable, and the recovered centers are displaced back.
     Both batches are binned, one BATCH_CHUNK slice at a time, on the grid
-    [0, extent) whose last bin holds GRID_HALF_WIDTH + max(|d1|, |d2|): the
-    chain fixes it before any outcome is read, and fold coordinates beyond
-    it count as overflow.
+    from 0 up to GRID_HALF_WIDTH + max(|d1|, |d2|) in whole bins: the chain
+    fixes it before any outcome is read, and fold coordinates beyond it
+    count as overflow.
     """
     check_method("double", batch_a.params)
     check_method("double", batch_b.params)
@@ -378,10 +379,6 @@ def double_displacement_reconstruct(
         raise ValueError(
             "double_displacement_reconstruct needs two distinct displacements"
         )
-    _check_bin_width(bin_width)
     top = GRID_HALF_WIDTH + max(abs(d_a), abs(d_b))
-    span = top / bin_width
-    _check_bin_count(span, bin_width)
-    extent = bin_width * (math.floor(span) + 1)
-    return unfold_fold_samples(_bin_in_chunks(batch_a, bin_width, 0.0, extent, d_a),
-                               _bin_in_chunks(batch_b, bin_width, 0.0, extent, d_b), shift=d_a)
+    return unfold_fold_samples(_bin_in_chunks(batch_a, bin_width, 0.0, top, d_a),
+                               _bin_in_chunks(batch_b, bin_width, 0.0, top, d_b), shift=d_a)

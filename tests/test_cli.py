@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from opatomo import cli, reconstruct
+from opatomo import cli, experiments, reconstruct
 from opatomo.chain import ChainParams, HomodyneDetector, ShotBatch
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, build_parser, main
 from opatomo.experiments import (
@@ -17,7 +17,7 @@ from opatomo.experiments import (
     squeezing_table,
     sweep_gain,
 )
-from opatomo.reconstruct import METHODS
+from opatomo.reconstruct import GRID_HALF_WIDTH, METHODS, fold_displacement
 from opatomo.states import SourceState
 
 
@@ -474,6 +474,47 @@ def test_reconstruct_double_refuses_a_subnormal_bin_width(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
+def test_reconstruct_double_accepts_a_grid_of_exactly_the_bin_cap(capsys, tmp_path):
+    # The fold grid's top, 6 plus the larger fold displacement, is exactly
+    # 10**6 bins of this width, so the grid is the cap's own size; 200 shots
+    # over it leave no dependable bin for the unfold.
+    width = "7.214922039791464e-06"
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "200", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "200", "--seed", "1")
+    top = GRID_HALF_WIDTH + fold_displacement(ShotBatch.from_csv(second).params)
+    assert top / float(width) == 1e6
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", second,
+                           "--method", "double", "--bin-width", width,
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err == "error: folded histograms carry no bin with a dependable count\n"
+
+
+@pytest.mark.parametrize("method,first_center,extra", [
+    ("standard", -6.02 + 0.035, ["--displacement", "0"]),
+    ("displaced", -6.0 + 0.035, ["--displacement", "100"]),
+    ("homodyne", -6.0 + 0.035, ["--displacement", "100", "--detector", "homodyne"]),
+], ids=["standard", "displaced", "homodyne"])
+def test_reconstruct_rounds_a_grid_up_to_whole_bins(capsys, tmp_path, method, first_center,
+                                                    extra):
+    # 0.07 does not divide 6: the 12-unit grid is rounded up to 172 bins,
+    # [-6, 6.04), and standard's half grid to 86, mirrored onto [-6.02, 6.02).
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--n-shots", "2000", *extra)
+    code, out, err = run_cli(capsys, "reconstruct", "--batch", batch, "--method", method,
+                             "--bin-width", "0.07", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    assert json.loads(out)["fidelity"] > 0.99
+    with open(tmp_path / f"recon_{method}_batch_sq_0.csv") as fh:
+        # Centers are numpy floats, written as their repr under numpy 2.
+        centers = np.array([float(line.split(",")[0].removeprefix("np.float64(").rstrip(")"))
+                            for line in fh.read().splitlines()[1:]])
+    assert centers.size == 172
+    assert centers[0] == pytest.approx(first_center)
+    assert np.diff(centers) == pytest.approx(np.full(171, 0.07))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_cli_binds_every_estimator(method):
     # reconstruct calls each estimator by its METHODS name through the cli
@@ -743,6 +784,32 @@ METHOD_SWEEPS = {
     "homodyne-d": ["--grid", "10,100"],
     "homodyne-gain": ["--grid", "2,4"],
 }
+
+
+def test_sweep_accepts_a_bin_width_that_does_not_divide_the_grid(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "sweep", "--kind", "displacement", "--grid", "100",
+                             "--bin-width", "0.07", "--n-shots", "2000", "--repeats", "1",
+                             "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    with open(json.loads(out)["csv"]) as fh:
+        assert len(fh.read().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--kind", kind, *METHOD_SWEEPS[kind]]
+                                  for kind in sorted(METHOD_SWEEPS)] + [["squeeze", "--m", "3"]],
+                         ids=[*sorted(METHOD_SWEEPS), "squeeze"])
+def test_sweeps_refuse_a_bin_width_beyond_the_cap_before_any_draw(capsys, tmp_path,
+                                                                  monkeypatch, argv):
+    # The estimators' 12-unit grid at this width is 1714285.7 bins, rounded up.
+    draws = []
+    monkeypatch.setattr(experiments, "draw_chunk", lambda *args: draws.append(args))
+    code, _, err = run_cli(capsys, *argv, "--bin-width", "7e-06", "--n-shots", "200",
+                           "--repeats", "1", "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err == ("error: bin_width: a grid of 1714286 bins of width 7e-06 exceeds the cap "
+                   "of 1000000 bins; use a wider bin width\n")
+    assert draws == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(METHOD_SWEEPS))

@@ -31,6 +31,13 @@ SWEEPS = {
         SweepSpec("displacement", "sq", ("standard", "displaced"), "displacement",
                   (10.0, 100.0, 1000.0)),
     ),
+    # A bin width that does not divide the grid: every estimator's grid is
+    # rounded up to whole bins.
+    "displacement_w007": (
+        sweep_displacement,
+        SweepSpec("displacement", "sq", ("standard", "displaced"), "displacement",
+                  (10.0, 100.0, 1000.0), bin_width=0.07),
+    ),
     "gain": (
         sweep_gain,
         SweepSpec("gain", "sq_disp", ("standard", "displaced"), "gain", (2.0, 4.0, 6.0)),
@@ -60,6 +67,10 @@ GOLDEN = {
     "displacement": (
         "ca2ea3aa6fb841937f1127a933ac6230fb3946d37388a8da7952ca514f437412",
         "35fef2810cd236e451bb6ac59c047a630e23bbcbe0601c348db657e16cc56e3f",
+    ),
+    "displacement_w007": (
+        "f1c5d1231e5b09ffd34f08f3e65e6ebe7c8aaabf7915ed0a0277d298db893373",
+        "1fed689335f6816ae32199e00d4b90bccdc0eec04e01bebeea5a511be566c00e",
     ),
     "gain": (
         "aaf683f259da5437921b8b11aeb376983e42522ee08bc3d6bb5e577e47e95b93",

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opatomo.chain import ChainParams, ShotBatch
 from opatomo.hist import (
+    MAX_BINS,
     DensityEstimate,
     QuadratureHistogram,
     analytic_bins,
@@ -14,7 +16,9 @@ from opatomo.hist import (
     bin_values,
     fidelity,
     fidelity_from_masses,
+    grid_bins,
 )
+from opatomo.reconstruct import standard_reconstruct
 from opatomo.states import SourceState, preset
 from opatomo.streams import stream
 from state_helpers import gaussian_1d
@@ -62,10 +66,30 @@ def test_empty_input_is_valid():
 
 
 def test_grid_must_be_integer_bins():
-    with pytest.raises(ValueError):
-        bin_values([0.0], 0.05, 0.0, 0.12)
-    with pytest.raises(ValueError):
-        bin_values([0.0], 0.05, 1.0, 0.5)
+    # A range that is not a whole number of bins is rounded up to one, so a
+    # value past hi but below the rounded-up top is counted.
+    assert grid_bins(0.05, 0.0, 0.12) == (3, 3 * 0.05)
+    hist = bin_values([0.0, 0.13], 0.05, 0.0, 0.12)
+    assert (hist.n_bins, hist.origin) == (3, 0.0)
+    assert hist.counts.tolist() == [1, 0, 1] and hist.overflow == 0
+    for lo, hi in ((1.0, 0.5), (0.5, 0.5), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="hi must exceed lo"):
+            bin_values([0.0], 0.05, lo, hi)
+
+
+def test_a_grid_of_exactly_max_bins_is_accepted():
+    assert grid_bins(1.0, 0.0, float(MAX_BINS)) == (MAX_BINS, float(MAX_BINS))
+    hist = bin_values([0.0], 12.0 / MAX_BINS, -6.0, 6.0)
+    assert hist.n_bins == MAX_BINS and hist.counts[MAX_BINS // 2] == 1
+
+
+def test_the_cap_names_the_bin_count_it_would_build():
+    # 12 / 1.1999999e-05 is 1000000.08 bins, rounded up to 1000001.
+    with pytest.raises(ValueError, match=r"^a grid of 1000001 bins of width 1\.1999999e-05 "
+                                         r"exceeds the cap of 1000000 bins"):
+        bin_values([0.0], 1.1999999e-05, -6.0, 6.0)
+    with pytest.raises(ValueError, match="^a grid of inf bins of width 5e-324 exceeds"):
+        grid_bins(5e-324, 0.0, 7.0)
 
 
 def test_bin_values_rejects_non_positive_width():
@@ -150,6 +174,40 @@ def _edge_values(bin_width, lo, hi):
     return [hi, below_hi, np.nextafter(below_hi, -math.inf), lo, np.nextafter(lo, -math.inf),
             np.nextafter(lo, math.inf), -0.0, 0.0, math.inf, -math.inf, math.nan,
             1e300, -1e300, lo + bin_width, hi - bin_width]
+
+
+def _parent_grid_histogram(values, bin_width, lo, hi):
+    """(origin, n_bins, counts, overflow) as binned before ``grid_bins``,
+    which accepted only a whole number of bins and binned on exactly
+    [lo, hi)."""
+    n_bins = round((hi - lo) / bin_width)
+    assert abs(lo + n_bins * bin_width - hi) <= 1e-9 * bin_width
+    counts, overflow, _ = _reference_bin_values(values, bin_width, lo, hi)
+    return lo, n_bins, counts.tolist(), overflow
+
+
+# k where ceil(12 / w) != 2k for w = 6 / k, and where k * w != 6.0.
+_CEIL_OFF = (47, 173, 241)
+_PRODUCT_OFF = (47, 94, 147)
+
+
+def test_grids_accepted_before_grid_bins_keep_their_bytes():
+    assert all(math.ceil(12 / (6 / k)) != 2 * k for k in _CEIL_OFF)
+    assert all(k * (6 / k) != 6.0 for k in _PRODUCT_OFF)
+    for k in range(1, 300):
+        w = 6 / k
+        for lo, hi in ((-6.0, 6.0), (0.0, 6.0)):
+            values = _edge_values(w, lo, hi)
+            hist = bin_values(values, w, lo, hi)
+            assert (hist.origin, hist.n_bins, hist.counts.tolist(), hist.overflow) == (
+                _parent_grid_histogram(values, w, lo, hi)), (k, lo)
+        batch = ShotBatch(np.array([0.0, 1.0, 1e9]), ChainParams(), 3, 0, "vac")
+        mirrored = standard_reconstruct(batch, w)
+        assert (mirrored.origin, mirrored.n_bins) == (-6.0, 2 * k)
+    # The grid alone, over a finer range of the same widths.
+    for k in range(1, 20_001):
+        w = 6 / k
+        assert grid_bins(w, -6.0, 6.0) == (2 * k, 6.0) and grid_bins(w, 0.0, 6.0) == (k, 6.0)
 
 
 def test_edge_values_include_a_position_that_rounds_up_to_n_bins():
@@ -292,8 +350,12 @@ def test_analytic_bins_are_bin_probabilities():
 
 
 def test_analytic_bins_range_check():
-    with pytest.raises(ValueError):
-        analytic_bins(preset("vac"), 0.3, -1.0, 1.0 + 0.05)
+    # 2.05 / 0.3 is 6.83 bins, rounded up to 7.
+    ref = analytic_bins(preset("vac"), 0.3, -1.0, 1.0 + 0.05)
+    assert ref.masses.size == 7
+    assert ref.centers[0] == pytest.approx(-0.85) and ref.centers[-1] == pytest.approx(0.95)
+    with pytest.raises(ValueError, match="hi must exceed lo"):
+        analytic_bins(preset("vac"), 0.3, 1.0, -1.0)
 
 
 def test_point_density_centered_on_mean():
