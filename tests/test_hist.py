@@ -176,10 +176,10 @@ def _edge_values(bin_width, lo, hi):
             1e300, -1e300, lo + bin_width, hi - bin_width]
 
 
-def _parent_grid_histogram(values, bin_width, lo, hi):
-    """(origin, n_bins, counts, overflow) as binned before ``grid_bins``,
-    which accepted only a whole number of bins and binned on exactly
-    [lo, hi)."""
+def _exact_grid_histogram(values, bin_width, lo, hi):
+    """(origin, n_bins, counts, overflow) on exactly [lo, hi), which must be
+    a whole number of bins: the only grids accepted before ranges were
+    rounded up to whole bins."""
     n_bins = round((hi - lo) / bin_width)
     assert abs(lo + n_bins * bin_width - hi) <= 1e-9 * bin_width
     counts, overflow, _ = _reference_bin_values(values, bin_width, lo, hi)
@@ -191,7 +191,7 @@ _CEIL_OFF = (47, 173, 241)
 _PRODUCT_OFF = (47, 94, 147)
 
 
-def test_grids_accepted_before_grid_bins_keep_their_bytes():
+def test_whole_bin_grids_keep_their_bytes():
     assert all(math.ceil(12 / (6 / k)) != 2 * k for k in _CEIL_OFF)
     assert all(k * (6 / k) != 6.0 for k in _PRODUCT_OFF)
     for k in range(1, 300):
@@ -200,7 +200,7 @@ def test_grids_accepted_before_grid_bins_keep_their_bytes():
             values = _edge_values(w, lo, hi)
             hist = bin_values(values, w, lo, hi)
             assert (hist.origin, hist.n_bins, hist.counts.tolist(), hist.overflow) == (
-                _parent_grid_histogram(values, w, lo, hi)), (k, lo)
+                _exact_grid_histogram(values, w, lo, hi)), (k, lo)
         batch = ShotBatch(np.array([0.0, 1.0, 1e9]), ChainParams(), 3, 0, "vac")
         mirrored = standard_reconstruct(batch, w)
         assert (mirrored.origin, mirrored.n_bins) == (-6.0, 2 * k)
