@@ -26,12 +26,14 @@ __all__ = [
     "NonPositiveApex",
     "OutOfRange",
     "ParabolaFit",
-    "find_local_maxima",
     "select_peak",
     "fit_parabola",
     "distillable_variance",
     "loss_corrected_variance",
 ]
+
+# A peak dominates every bin within this many steps on either side.
+PEAK_WINDOW = 3
 
 
 class DistillError(ValueError):
@@ -66,45 +68,26 @@ class ParabolaFit:
     center_bin: int
 
 
-def find_local_maxima(hist, window: int = 1) -> list[int]:
-    """Bin indices whose mass dominates every bin within ``window`` steps.
+def select_peak(hist) -> int:
+    """The distillation target: the local maximum of highest mass, ties
+    resolved toward the bin center closest to the origin (sub-Planck
+    structures near the origin are the quantity of interest), then toward
+    the lower index.
 
-    A bin qualifies when its mass is positive and no bin within the window
-    exceeds it; plateaus report only their leftmost bin.  Indices are
-    returned sorted by mass, descending (ties by index, ascending).
+    A local maximum is a bin of positive mass that no bin within PEAK_WINDOW
+    steps exceeds and no earlier bin in that window equals, so a plateau
+    counts once, at its left end.  Nothing exceeds a bin of the top mass, so
+    the highest local maxima are the bins of the top mass that lie more than
+    PEAK_WINDOW steps after the previous such bin, and only they compete.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
     masses = np.asarray(hist.masses, dtype=float)
-    n = masses.size
-    maxima = []
-    for i in range(n):
-        if masses[i] <= 0.0:
-            continue
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        neighborhood = masses[lo:hi]
-        if np.any(neighborhood > masses[i]):
-            continue
-        # Plateau convention: an equal-mass bin earlier in the window means
-        # this bin is not the leftmost representative.
-        if np.any(masses[lo:i] == masses[i]):
-            continue
-        maxima.append(i)
-    maxima.sort(key=lambda i: (-masses[i], i))
-    return maxima
-
-
-def select_peak(hist, window: int = 1) -> int:
-    """The distillation target: highest local maximum, ties resolved toward
-    the bin center closest to the origin (sub-Planck structures near the
-    origin are the quantity of interest)."""
-    maxima = find_local_maxima(hist, window)
-    if not maxima:
+    top = masses.max(initial=0.0)
+    if not top > 0.0:
         raise DistillError("histogram has no local maximum")
+    tops = np.flatnonzero(masses == top)
+    tops = tops[np.diff(tops, prepend=-PEAK_WINDOW - 1) > PEAK_WINDOW]
     centers = np.asarray(hist.centers, dtype=float)
-    masses = np.asarray(hist.masses, dtype=float)
-    return min(maxima, key=lambda i: (-masses[i], abs(centers[i]), i))
+    return int(min(tops, key=lambda i: (abs(centers[i]), i)))
 
 
 def fit_parabola(hist, center_bin: int, m: int) -> ParabolaFit:

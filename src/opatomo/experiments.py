@@ -456,7 +456,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
     analytic: list[SweepRow] = []
     for m in m_values:
         try:
-            fit = fit_parabola(reference, select_peak(reference, window=3), m)
+            fit = fit_parabola(reference, select_peak(reference), m)
         except OutOfRange as exc:
             raise ConfigError("m", str(exc)) from None
         analytic.append(SweepRow(
@@ -477,7 +477,7 @@ def squeezing_table(spec: SweepSpec) -> SweepResult:
             fits: list[tuple[float, float]] = []  # (V_d, apex) of each fit that succeeds
             for hist, _ in (histograms[pair] for histograms in per_seed):
                 try:
-                    fit = fit_parabola(hist, select_peak(hist, window=3), m)
+                    fit = fit_parabola(hist, select_peak(hist), m)
                     fits.append((distillable_variance(fit), fit.b))
                 except DistillError:
                     pass  # counted in fit_failures

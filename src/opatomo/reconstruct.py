@@ -229,6 +229,7 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     """
     check_method("standard", batch.params)
     _, top = grid_bins(bin_width, 0.0, GRID_HALF_WIDTH)
+    grid_bins(bin_width, -top, top)  # the mirrored grid obeys the bin cap too
     half = _bin_in_chunks(batch, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
     return QuadratureHistogram(

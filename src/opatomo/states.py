@@ -273,10 +273,9 @@ class SourceState:
             return np.interp(u[0], cum, grid), np.interp(u[1], cum, grid)
 
         comps = self.components
-        if len(comps) == 1:
-            idx = np.zeros(n, dtype=np.intp)
-        else:
-            idx = rng.choice(len(comps), size=n, p=[c.weight for c in comps])
+        # A single component's constants broadcast; a mixture gathers them per shot.
+        idx = 0 if len(comps) == 1 else rng.choice(len(comps), size=n,
+                                                    p=[c.weight for c in comps])
         z = rng.standard_normal((2, n))
 
         smin = np.array([math.sqrt(c.min_variance) for c in comps])[idx]

@@ -391,7 +391,7 @@ def test_acceptance_9_fold_matrices_exact(report):
 def test_acceptance_10_distillable_variance(report):
     target = math.exp(-2.0) / 8.0
     ref = analytic_point_density(preset("sq"), 0.05)
-    peak = select_peak(ref, window=3)
+    peak = select_peak(ref)
     v3 = distillable_variance(fit_parabola(ref, peak, 3))
     errors = [
         abs(distillable_variance(fit_parabola(ref, peak, m)) - target) for m in (3, 5, 7, 9)

@@ -442,6 +442,25 @@ def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
+def test_standard_refuses_a_mirrored_grid_beyond_the_bin_cap(capsys, tmp_path, monkeypatch):
+    # Standard's half grid [0, 6) is 750,000 bins of this width, under the
+    # cap, but the grid it mirrors them onto is 1,500,000: reconstruct refuses
+    # it before any slice is binned, as the sweeps refuse the same width.
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--n-shots", "2000")
+    binned, real = [], reconstruct.bin_values
+    monkeypatch.setattr(reconstruct, "bin_values",
+                        lambda *args: binned.append(args) or real(*args))
+    cap = ("a grid of 1500000 bins of width 8e-06 exceeds the cap of 1000000 bins; "
+           "use a wider bin width\n")
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", batch, "--method", "standard",
+                           "--bin-width", "8e-6", "--out-dir", str(tmp_path))
+    assert (code, err, binned) == (EXIT_CONFIG, "error: " + cap, [])
+    assert not list(tmp_path.glob("recon_*"))
+    code, _, err = run_cli(capsys, "sweep", "--kind", "displacement", "--methods", "standard",
+                           "--bin-width", "8e-6", "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (EXIT_CONFIG, "error: bin_width: " + cap)
+
+
 def test_reconstruct_double_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     # The fold grid's extent comes from the chain, so the cap is checked on
     # the first slice, before the unfold or any file is written.

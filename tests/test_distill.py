@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opatomo.chain import ChainParams, run_batch
 from opatomo.distill import (
@@ -11,8 +13,8 @@ from opatomo.distill import (
     OutOfRange,
     ParabolaFit,
     distillable_variance,
-    find_local_maxima,
     fit_parabola,
+    PEAK_WINDOW,
     loss_corrected_variance,
     select_peak,
 )
@@ -91,28 +93,77 @@ def test_distillable_variance_arithmetic():
 
 # -- peak finding ----------------------------------------------------------------
 
-def test_find_local_maxima_simple_peak():
-    assert find_local_maxima(_density_estimate([1.0, 3.0, 1.0])) == [1]
+def _reference_maxima(hist, window=PEAK_WINDOW):
+    """Every local maximum by the two-step search select_peak replaced,
+    sorted by mass, descending (ties by index)."""
+    masses = np.asarray(hist.masses, dtype=float)
+    n = masses.size
+    maxima = []
+    for i in range(n):
+        if masses[i] <= 0.0:
+            continue
+        lo = max(0, i - window)
+        hi = min(n, i + window + 1)
+        if np.any(masses[lo:hi] > masses[i]):
+            continue
+        if np.any(masses[lo:i] == masses[i]):
+            continue
+        maxima.append(i)
+    maxima.sort(key=lambda i: (-masses[i], i))
+    return maxima
 
 
-def test_find_local_maxima_plateau_reports_leftmost():
-    assert find_local_maxima(_density_estimate([1.0, 3.0, 3.0, 1.0])) == [1]
+def _reference_peak(hist):
+    """The second step: re-rank the maxima toward the origin."""
+    maxima = _reference_maxima(hist)
+    if not maxima:
+        raise DistillError("histogram has no local maximum")
+    masses = np.asarray(hist.masses, dtype=float)
+    centers = np.asarray(hist.centers, dtype=float)
+    return min(maxima, key=lambda i: (-masses[i], abs(centers[i]), i))
 
 
-def test_find_local_maxima_sorted_by_mass():
-    assert find_local_maxima(_density_estimate([0.0, 2.0, 0.0, 5.0, 0.0])) == [3, 1]
+# Few distinct levels, so zeros, plateaus, equal-mass maxima and non-positive
+# histograms are common.
+_LEVELS = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 3.0, 0.5, 1e-300, -1.0])
 
 
-def test_find_local_maxima_wide_window():
-    masses = [5.0, 0.0, 0.0, 4.0, 0.0, 0.0]
-    assert find_local_maxima(_density_estimate(masses), window=3) == [0]
-    assert find_local_maxima(_density_estimate(masses), window=1) == [0, 3]
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(masses=st.lists(_LEVELS, min_size=1, max_size=24),
+       mirrored=st.booleans(), shift=st.integers(-12, 12))
+def test_select_peak_matches_the_two_step_search(masses, mirrored, shift):
+    # Mirrored centers (-x_i on a grid symmetric about 0) make equal masses
+    # tie on |center| too, so the index decides.
+    n = len(masses)
+    first = -(n - 1) / 2 * 0.1 if mirrored else shift * 0.1
+    est = _density_estimate(masses, first_center=first)
+    try:
+        expected = _reference_peak(est)
+    except DistillError:
+        with pytest.raises(DistillError):
+            select_peak(est)
+    else:
+        assert select_peak(est) == expected
 
 
-def test_find_local_maxima_empty_and_validation():
-    assert find_local_maxima(_density_estimate([0.0, 0.0, 0.0])) == []
-    with pytest.raises(ValueError):
-        find_local_maxima(_density_estimate([1.0]), window=0)
+def test_select_peak_simple_peak():
+    assert select_peak(_density_estimate([1.0, 3.0, 1.0])) == 1
+
+
+def test_select_peak_plateau_reports_leftmost():
+    assert select_peak(_density_estimate([1.0, 3.0, 3.0, 1.0])) == 1
+    # a plateau to the left of the origin still counts once, at its left end
+    assert select_peak(_density_estimate([1.0, 3.0, 3.0, 1.0], first_center=-0.3)) == 1
+
+
+def test_select_peak_window_spans_three_bins():
+    # Equal masses within PEAK_WINDOW steps are one maximum, at the left;
+    # one step further apart they are two, and the one at the origin wins.
+    assert PEAK_WINDOW == 3
+    assert select_peak(_density_estimate([4.0, 0.0, 0.0, 4.0], first_center=-0.3)) == 0
+    assert select_peak(_density_estimate([4.0, 0.0, 0.0, 0.0, 4.0], first_center=-0.4)) == 4
+    # a lower bin, however close to the origin, never wins
+    assert select_peak(_density_estimate([5.0, 0.0, 0.0, 0.0, 4.0], first_center=-0.4)) == 0
 
 
 def test_select_peak_prefers_origin_then_lower_index():
@@ -139,6 +190,15 @@ def test_select_peak_highest_mass_wins():
 def test_select_peak_requires_a_maximum():
     with pytest.raises(DistillError):
         select_peak(_density_estimate([0.0, 0.0]))
+    with pytest.raises(DistillError):
+        select_peak(_density_estimate([0.0, 0.0, 0.0]))
+
+
+def test_select_peak_requires_positive_mass():
+    # a zero bin is never a peak, even when nothing exceeds it
+    assert select_peak(_density_estimate([0.0, 0.0, 2.0, 0.0])) == 2
+    with pytest.raises(DistillError):
+        select_peak(_density_estimate([0.0, -1.0, 0.0]))
 
 
 # -- analytic references -------------------------------------------------------------
@@ -148,7 +208,7 @@ SQ_HALF_VARIANCE = math.exp(-2.0) / 8.0  # squeezed variance in distilled units
 
 def test_squeezed_reference_within_two_percent():
     ref = analytic_point_density(preset("sq"), 0.05)
-    fit = fit_parabola(ref, select_peak(ref, window=3), 3)
+    fit = fit_parabola(ref, select_peak(ref), 3)
     v_d = distillable_variance(fit)
     assert v_d == pytest.approx(0.01723133459416234, rel=1e-12)
     assert abs(v_d - SQ_HALF_VARIANCE) / SQ_HALF_VARIANCE < 0.02
@@ -156,7 +216,7 @@ def test_squeezed_reference_within_two_percent():
 
 def test_squeezed_reference_grows_with_fit_size():
     ref = analytic_point_density(preset("sq"), 0.05)
-    peak = select_peak(ref, window=3)
+    peak = select_peak(ref)
     frozen = {
         3: 0.01723133459416234,
         5: 0.018320427877341918,
@@ -177,7 +237,7 @@ def test_squeezed_reference_error_shrinks_with_bin_width():
     errors = []
     for w in (0.1, 0.05, 0.025):
         ref = analytic_point_density(preset("sq"), w)
-        v = distillable_variance(fit_parabola(ref, select_peak(ref, window=3), 3))
+        v = distillable_variance(fit_parabola(ref, select_peak(ref), 3))
         errors.append(abs(v - SQ_HALF_VARIANCE) / SQ_HALF_VARIANCE)
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.006
@@ -188,7 +248,7 @@ def test_variance_is_bitwise_invariant_under_displacement():
     moved = DensityEstimate(
         centers=ref.centers + 0.731, masses=ref.masses, bin_width=ref.bin_width
     )
-    peak = select_peak(ref, window=3)
+    peak = select_peak(ref)
     fit_a = fit_parabola(ref, peak, 5)
     fit_b = fit_parabola(moved, peak, 5)
     assert fit_b.a == fit_a.a
@@ -202,7 +262,7 @@ def test_variance_scales_out_power_of_two_mass_factor():
     scaled = DensityEstimate(
         centers=ref.centers, masses=ref.masses * 2.0**-3, bin_width=ref.bin_width
     )
-    peak = select_peak(ref, window=3)
+    peak = select_peak(ref)
     v_ref = distillable_variance(fit_parabola(ref, peak, 3))
     v_scaled = distillable_variance(fit_parabola(scaled, peak, 3))
     assert v_scaled == v_ref
@@ -217,7 +277,7 @@ def test_fock_and_mixture_reference_regressions():
     }
     for name, expected in frozen.items():
         ref = analytic_point_density(preset(name), 0.05)
-        peak = select_peak(ref, window=3)
+        peak = select_peak(ref)
         v = distillable_variance(fit_parabola(ref, peak, 3))
         assert v == pytest.approx(expected, rel=1e-12), name
     # the mixture's sharpest feature comes from its more strongly squeezed
@@ -228,7 +288,7 @@ def test_fock_and_mixture_reference_regressions():
 
 def test_fock_peaks_sit_on_the_outer_lobes():
     ref = analytic_point_density(preset("fock2"), 0.05)
-    peak = select_peak(ref, window=3)
+    peak = select_peak(ref)
     # the two outer lobes tie in mass; the tie-break picks the negative one
     assert ref.centers[peak] == pytest.approx(-1.1, abs=1e-9)
 
@@ -244,10 +304,10 @@ def test_simulated_peak_sits_near_origin():
     params = ChainParams(displacement=100.0)
     batch = run_batch(preset("sq"), params, 100_000, 13)
     hist = displaced_reconstruct(batch, 0.05)
-    peak = select_peak(hist, window=3)
+    peak = select_peak(hist)
     assert abs(hist.centers[peak]) < 2 * hist.bin_width
     masses = hist.masses
-    maxima = find_local_maxima(hist, window=3)
+    maxima = _reference_maxima(hist)
     dominant = [i for i in maxima if masses[i] > 0.1 * masses[maxima[0]]]
     assert dominant == [peak]
 
@@ -256,7 +316,7 @@ def test_simulated_variance_independent_of_displacement():
     def v_at(d, seed):
         batch = run_batch(preset("sq"), ChainParams(displacement=d), 100_000, seed)
         hist = displaced_reconstruct(batch, 0.05)
-        fit = fit_parabola(hist, select_peak(hist, window=3), 5)
+        fit = fit_parabola(hist, select_peak(hist), 5)
         return distillable_variance(fit)
 
     seeds = [101, 102, 103, 104]

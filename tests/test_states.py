@@ -214,7 +214,8 @@ def test_mixture_component_selection():
 def _per_shot_rotation_sample(state: SourceState, n: int, rng):
     """Per-shot reference for ``sample_xp``'s Gaussian branch: every
     per-component parameter, the rotation angle included, is gathered per
-    shot before cos and sin are taken."""
+    shot before cos and sin are taken, a single component's through an
+    all-zero index."""
     comps = state.components
     if len(comps) == 1:
         idx = np.zeros(n, dtype=np.intp)
@@ -237,13 +238,20 @@ _ROTATED_MIX = SourceState.gaussian(
      GaussianComponent(0.7, mean_p=-0.2, squeezing=0.5, squeeze_angle=2.1)],
     theta=0.7,
 )
+# a rotated, displaced single component
+_ROTATED_SINGLE = SourceState.gaussian(
+    [GaussianComponent(1.0, mean_x=0.4, mean_p=-0.3, squeezing=0.8, squeeze_angle=1.1)],
+    theta=0.7,
+)
+_GAUSSIAN_PRESETS = tuple(name for name in CATALOG if preset(name).kind == "gaussian")
 
 
-@pytest.mark.parametrize("state", [preset("sq"), preset("mix"), preset("mix_disp"), _ROTATED_MIX],
-                         ids=["sq", "mix", "mix_disp", "rotated_mix"])
+@pytest.mark.parametrize("state", [*map(preset, _GAUSSIAN_PRESETS), _ROTATED_MIX, _ROTATED_SINGLE],
+                         ids=[*_GAUSSIAN_PRESETS, "rotated_mix", "rotated_single"])
 def test_sampling_equals_the_per_shot_rotation_bit_for_bit(state):
-    # cos and sin are taken once per component, then gathered per shot.
-    for n in (1, 1000, 1 << 14):
+    # cos and sin are taken once per component, then gathered per shot; a
+    # single component's constants broadcast instead of being gathered.
+    for n in (1, 7, 1000, 1 << 14):
         x, p = state.sample_xp(n, stream(17, n))
         x_ref, p_ref = _per_shot_rotation_sample(state, n, stream(17, n))
         assert x.tobytes() == x_ref.tobytes() and p.tobytes() == p_ref.tobytes()

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from opatomo import cli, experiments, reconstruct
+from opatomo.chain import ChainParams
 from opatomo.experiments import SweepSpec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -56,3 +57,19 @@ def test_every_applied_shot_is_traced():
     shots = metrics["chain.intensity_shot.shots"] + metrics["chain.homodyne_shot.shots"]
     assert shots == metrics["reconstruct.invert.values"] == metrics["hist.bin_values.values"]
     assert shots == pairs * repeats * n_shots
+
+
+def test_every_fit_attempt_selects_one_peak():
+    # distill.fit_failure_frac divides failed fits by distill.select_peak
+    # calls, so each fit attempt must select its own peak: two incoupling
+    # variants x two fit sizes x two repeats, plus one analytic fit per size.
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        experiments.squeezing_table(SweepSpec(
+            "squeeze", "sq", ("displaced",), "m", (3.0, 5.0),
+            params=ChainParams(displacement=100.0), n_shots=2_000, repeats=2))
+    finally:
+        tracer.uninstall()
+    peaks = [span for span in tracer.spans if span[2] == "distill.select_peak"]
+    assert len(peaks) == 2 * 2 * 2 + 2
