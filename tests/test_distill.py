@@ -11,10 +11,10 @@ from opatomo.distill import (
     NonPositiveApex,
     NotConcave,
     OutOfRange,
+    PEAK_WINDOW,
     ParabolaFit,
     distillable_variance,
     fit_parabola,
-    PEAK_WINDOW,
     loss_corrected_variance,
     select_peak,
 )
@@ -93,9 +93,10 @@ def test_distillable_variance_arithmetic():
 
 # -- peak finding ----------------------------------------------------------------
 
-def _reference_maxima(hist, window=PEAK_WINDOW):
-    """Every local maximum by the two-step search select_peak replaced,
-    sorted by mass, descending (ties by index)."""
+def _reference_maxima(hist):
+    """Every local maximum by the two-step search select_peak replaced, with
+    its window of 3 bins, sorted by mass, descending (ties by index)."""
+    window = 3
     masses = np.asarray(hist.masses, dtype=float)
     n = masses.size
     maxima = []
