@@ -191,6 +191,9 @@ def test_select_peak_highest_mass_wins():
 def test_select_peak_requires_a_maximum():
     with pytest.raises(DistillError):
         select_peak(_density_estimate([0.0, 0.0]))
+
+
+def test_select_peak_all_zero_histogram_has_no_maximum():
     with pytest.raises(DistillError):
         select_peak(_density_estimate([0.0, 0.0, 0.0]))
 
