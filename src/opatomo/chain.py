@@ -19,8 +19,10 @@ row order is fixed and documented, so batches are reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 import json
 import math
+import os
 
 import numpy as np
 
@@ -33,9 +35,11 @@ __all__ = [
     "HomodyneDetector",
     "ChainParams",
     "ShotBatch",
+    "BatchFile",
     "intensity_shot",
     "homodyne_shot",
     "run_batch",
+    "batch_chunks",
     "chunk_sizes",
     "draw_chunk",
     "apply_chunk",
@@ -275,23 +279,73 @@ class ShotBatch:
     seed: int
     state_label: str = ""
 
+    def blocks(self):
+        """The outcomes in BATCH_CHUNK-sized slices, in order; an empty batch
+        is one empty slice."""
+        for start in range(0, max(self.outcomes.size, 1), BATCH_CHUNK):
+            yield self.outcomes[start:start + BATCH_CHUNK]
+
     def to_csv(self, path):
+        BatchFile(path, self.params, self.n_shots, self.seed, self.state_label).write(self.blocks())
+
+    @staticmethod
+    def from_csv(path) -> "ShotBatch":
+        file = BatchFile.read_header(path)
+        return ShotBatch(
+            outcomes=np.concatenate(list(file.blocks())),
+            params=file.params,
+            n_shots=file.n_shots,
+            seed=file.seed,
+            state_label=file.state_label,
+        )
+
+
+@dataclass(frozen=True)
+class BatchFile:
+    """A batch CSV: a ``# {json}`` header line, an ``outcome`` column line,
+    then one outcome per line.
+
+    The header is held; the outcomes are written as they come and read back
+    BATCH_CHUNK rows at a time, so neither direction holds more than one
+    block of them.
+    """
+
+    path: str
+    params: ChainParams
+    n_shots: int
+    seed: int
+    state_label: str = ""
+
+    def write(self, blocks) -> None:
+        """Write the header, then each block of outcomes as it comes.
+
+        The rows go to a sibling file that replaces ``path`` only once the
+        last block is written; on any exception it is removed, so ``path`` is
+        never left holding part of a batch.
+        """
         header = {
             "chain": self.params.to_dict(),
             "seed": self.seed,
             "n_shots": self.n_shots,
             "state": self.state_label,
         }
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("outcome\n")
-            # One BATCH_CHUNK of outcomes is converted to text at a time.
-            for i in range(0, self.outcomes.size, BATCH_CHUNK):
-                block = self.outcomes[i:i + BATCH_CHUNK].tolist()
-                fh.write("\n".join(map(repr, block)) + "\n")
+        partial = f"{self.path}.partial"
+        try:
+            with open(partial, "w") as fh:
+                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+                fh.write("outcome\n")
+                for block in blocks:
+                    if block.size:
+                        fh.write("\n".join(map(repr, block.tolist())) + "\n")
+            os.replace(partial, self.path)
+        except BaseException:
+            if os.path.exists(partial):
+                os.remove(partial)
+            raise
 
     @staticmethod
-    def from_csv(path) -> "ShotBatch":
+    def read_header(path) -> "BatchFile":
+        """The checked header of the batch file at ``path``; no row is read."""
         with open(path) as fh:
             first = fh.readline()
             if not first.startswith("# "):
@@ -300,8 +354,6 @@ class ShotBatch:
             column = fh.readline().strip()
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
-            # One float per non-blank line, parsed straight into the array.
-            outcomes = np.fromiter(map(float, filter(str.strip, fh)), dtype=float)
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: batch header must be a JSON object")
         missing = [key for key in ("chain", "n_shots", "seed") if key not in meta]
@@ -316,20 +368,37 @@ class ShotBatch:
             raise ValueError(
                 f"{path}: batch header n_shots and seed must be integers ({exc})"
             ) from None
-        if n_shots < 1 or outcomes.size != n_shots:
+        return BatchFile(path, ChainParams.from_dict(meta["chain"]), n_shots, seed, state_label)
+
+    def blocks(self):
+        """The outcomes, BATCH_CHUNK non-blank rows at a time, in order.
+
+        A row that does not parse as a float raises as its block is read.
+        After the last row, a row count other than the header's ``n_shots``
+        is refused, then a non-finite outcome; no block is yielded from the
+        first one that holds a non-finite outcome on, so a caller never
+        sees one.
+        """
+        rows, finite = 0, True
+        with open(self.path) as fh:
+            fh.readline()  # the header line
+            fh.readline()  # the column line
+            lines = filter(str.strip, fh)
+            while True:
+                block = np.fromiter(map(float, islice(lines, BATCH_CHUNK)), dtype=float)
+                if not block.size:
+                    break
+                rows += block.size
+                finite = finite and bool(np.isfinite(block).all())
+                if finite:
+                    yield block
+        if self.n_shots < 1 or rows != self.n_shots:
             raise ValueError(
-                f"{path}: header says n_shots = {n_shots} but the file holds "
-                f"{outcomes.size} outcomes"
+                f"{self.path}: header says n_shots = {self.n_shots} but the file holds "
+                f"{rows} outcomes"
             )
-        if not np.isfinite(outcomes).all():
-            raise ValueError(f"{path}: outcomes must be finite")
-        return ShotBatch(
-            outcomes=outcomes,
-            params=ChainParams.from_dict(meta["chain"]),
-            n_shots=n_shots,
-            seed=seed,
-            state_label=state_label,
-        )
+        if not finite:
+            raise ValueError(f"{self.path}: outcomes must be finite")
 
 
 # Standard-normal rows a shot function reads, one value per shot in each:
@@ -370,26 +439,27 @@ def apply_chunk(draws: tuple, params: ChainParams, cache: dict | None = None) ->
     return _shot_fn(params)(x, p, params, normals, cache)
 
 
+def batch_chunks(state: SourceState, params: ChainParams, n_shots: int, seed: int):
+    """The outcomes of an n_shots batch, one BATCH_CHUNK-sized chunk at a time.
+
+    Each chunk is seeded as sub-stream (seed, chunk_index), so the
+    partitioning determines every draw.
+    """
+    if n_shots <= 0:
+        raise ConfigError("n_shots", f"must be positive (got {n_shots})")
+    for i, count in enumerate(chunk_sizes(n_shots)):
+        yield apply_chunk(draw_chunk(state, seed, i, count), params)
+
+
 def run_batch(
     state: SourceState,
     params: ChainParams,
     n_shots: int,
     seed: int,
 ) -> ShotBatch:
-    """Simulate n_shots outcomes.
-
-    The batch is split into BATCH_CHUNK-sized chunks, each seeded as
-    sub-stream (seed, chunk_index), so the partitioning determines every
-    draw.
-    """
-    if n_shots <= 0:
-        raise ConfigError("n_shots", f"must be positive (got {n_shots})")
-    outcomes = np.empty(n_shots)
-    for i, c in enumerate(chunk_sizes(n_shots)):
-        start = i * BATCH_CHUNK
-        outcomes[start:start + c] = apply_chunk(draw_chunk(state, seed, i, c), params)
+    """Simulate n_shots outcomes into memory (see ``batch_chunks``)."""
     return ShotBatch(
-        outcomes=outcomes,
+        outcomes=np.concatenate(list(batch_chunks(state, params, n_shots, seed))),
         params=params,
         n_shots=n_shots,
         seed=seed,

@@ -23,11 +23,13 @@ import sys
 import numpy as np
 
 from .chain import (
+    BatchFile,
     ChainParams,
     ConfigError,
     HomodyneDetector,
     ShotBatch,
-    run_batch,
+    batch_chunks,
+    run_batch,  # noqa: F401  (uncalled; bench/tracer.py wraps this binding)
 )
 from .experiments import (
     DEFAULT_DISPLACEMENT_GRID,
@@ -51,6 +53,7 @@ from .reconstruct import (  # noqa: F401
     displaced_reconstruct,
     double_displacement_reconstruct,
     homodyne_reconstruct,
+    near_zero_fraction,
     standard_reconstruct,
 )
 from .states import PRESETS, preset
@@ -185,14 +188,35 @@ def _stem(config: RunConfig) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_config(args, _SIMULATE_REFUSES)
-    batch = run_batch(preset(config.state), config.params, config.n_shots, config.seed)
+    state = preset(config.state)
     os.makedirs(config.out_dir, exist_ok=True)
     stem = os.path.join(config.out_dir, _stem(config))
-    batch.to_csv(stem + ".csv")
+    # Each chunk is written as it is drawn; the file appears once it is whole.
+    BatchFile(stem + ".csv", config.params, config.n_shots, config.seed, state.label).write(
+        batch_chunks(state, config.params, config.n_shots, config.seed))
     with open(stem + ".json", "w") as fh:
         fh.write(config.to_json() + "\n")
     print(stem + ".csv")
     return EXIT_OK
+
+
+def _estimate_in_blocks(estimator, batch: BatchFile, bin_width: float):
+    """A one-batch estimator's histogram of a batch file, and the file's
+    near-zero fraction, read one block at a time.
+
+    As in the sweep engine, each block is estimated as a batch of its own,
+    and the block histograms and near-zero counts add up exactly to those of
+    the whole batch.  The sum starts from the estimator run on no outcomes,
+    so a method or grid that cannot read the batch is refused before any
+    row is read.
+    """
+    chunk = ShotBatch(np.empty(0), batch.params, 0, batch.seed, batch.state_label)
+    estimate, near_zero = estimator(chunk, bin_width), 0
+    for block in batch.blocks():
+        chunk = ShotBatch(block, batch.params, block.size, batch.seed, batch.state_label)
+        estimate += estimator(chunk, bin_width)
+        near_zero += round(near_zero_fraction(chunk) * block.size)
+    return estimate, near_zero / batch.n_shots
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -201,18 +225,23 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     _, count, estimator = METHODS[config.method]
     if len(paths) != count:
         raise ConfigError("batch2", f"{config.method} reads {count} batch(es), not {len(paths)}")
-    batches = [ShotBatch.from_csv(path) for path in paths]
+    # Every header is checked here; the rows are read block by block while
+    # the estimator bins them.
+    batches = [BatchFile.read_header(path) for path in paths]
     batch = batches[0]
     if batch.state_label not in PRESETS:
         raise ConfigError("state", f"batch header names unknown preset {batch.state_label!r}; "
                                    "see `opatomo presets`")
     state = preset(batch.state_label)
 
-    if config.method == "displaced":
-        check_positivity(batch)
-    estimate = globals()[estimator](*batches, config.bin_width)
-    # An estimator that reads two batches returns its estimate and diagnostics.
-    estimate, diag = estimate if count == 2 else (estimate, {})
+    if count == 2:
+        # An estimator that reads two batches returns its estimate and diagnostics.
+        estimate, diag = globals()[estimator](*batches, config.bin_width)
+    else:
+        estimate, fraction = _estimate_in_blocks(globals()[estimator], batch, config.bin_width)
+        diag = {}
+        if config.method == "displaced":
+            check_positivity(batch, fraction)
     f = fidelity(estimate, state)
 
     os.makedirs(config.out_dir, exist_ok=True)

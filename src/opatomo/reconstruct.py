@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .chain import BATCH_CHUNK, ChainParams, ConfigError, ShotBatch
+from .chain import BatchFile, ChainParams, ConfigError, ShotBatch
 from .hist import DensityEstimate, QuadratureHistogram, bin_values, grid_bins
 from .nnls import solve_nnls
 
@@ -109,16 +109,16 @@ def check_method(method: str, params: ChainParams, key: str = "method") -> None:
         raise ConfigError(key, "standard needs a batch taken at zero displacement")
 
 
-def check_positivity(batch: ShotBatch) -> None:
+def check_positivity(batch: ShotBatch | BatchFile, fraction: float) -> None:
     """Refuse a batch the single-displacement estimator cannot read.
 
     ``check_method("displaced", ...)`` refuses first; then, when more than
     POSITIVITY_THRESHOLD of the outcomes fall within the near-zero cut of
-    the fold point, the sign branch is ambiguous and a PositivityViolation
-    directs the caller to the two-displacement estimator.
+    the fold point (``fraction``, the batch's ``near_zero_fraction``), the
+    sign branch is ambiguous and a PositivityViolation directs the caller
+    to the two-displacement estimator.
     """
     check_method("displaced", batch.params)
-    fraction = near_zero_fraction(batch)
     if fraction > POSITIVITY_THRESHOLD:
         raise PositivityViolation(fraction, near_zero_cut(batch.params), POSITIVITY_THRESHOLD)
 
@@ -197,21 +197,20 @@ def near_zero_fraction(batch: ShotBatch) -> float:
     return np.count_nonzero(batch.outcomes < limit) / batch.outcomes.size
 
 
-def _bin_in_chunks(batch: ShotBatch, bin_width: float, lo: float, hi: float,
+def _bin_in_chunks(batch: ShotBatch | BatchFile, bin_width: float, lo: float, hi: float,
                    shift: float = 0.0) -> QuadratureHistogram:
     """The histogram on ``grid_bins(bin_width, lo, hi)`` of the batch's
-    inverted outcomes plus ``shift``, inverted and binned one BATCH_CHUNK
-    slice at a time.
+    inverted outcomes plus ``shift``, inverted and binned one block at a time.
 
-    The inversion is the batch detector's.  The slices' histograms add up
-    exactly to that of the whole array, so only one slice's estimates are
-    held at a time.  An empty batch is one empty slice, so its histogram
-    still carries the grid.
+    ``batch`` is a ShotBatch or a BatchFile; either yields its outcomes in
+    blocks of at most BATCH_CHUNK (``blocks()``), and the inversion is its
+    detector's.  The blocks' histograms add up exactly to that of the whole
+    array, so only one block's estimates are held at a time.
     """
     invert = invert_homodyne if batch.params.detector.kind == "homodyne" else invert_intensity
     total = None
-    for start in range(0, max(batch.outcomes.size, 1), BATCH_CHUNK):
-        values = invert(batch.outcomes[start:start + BATCH_CHUNK], batch.params)
+    for block in batch.blocks():
+        values = invert(block, batch.params)
         values += shift
         hist = bin_values(values, bin_width, lo, hi)
         total = hist if total is None else total + hist
@@ -348,19 +347,20 @@ def unfold_fold_samples(
 
 
 def double_displacement_reconstruct(
-    batch_a: ShotBatch, batch_b: ShotBatch, bin_width: float
+    batch_a: ShotBatch | BatchFile, batch_b: ShotBatch | BatchFile, bin_width: float
 ) -> tuple[DensityEstimate, dict]:
     """Two-displacement reconstruction.
 
-    The two batches must hold one source state and share every nominal
-    chain parameter except the displacement.  Their fold coordinates
-    realize |X + d1| and |X + d2| in input-quadrature units; the coordinate
-    origin is moved by the smaller displacement, the fold system is solved
-    for the shifted variable, and the recovered centers are displaced back.
-    Both batches are binned, one BATCH_CHUNK slice at a time, on the grid
-    from 0 up to GRID_HALF_WIDTH + max(|d1|, |d2|) in whole bins: the chain
-    fixes it before any outcome is read, and fold coordinates beyond it
-    count as overflow.
+    The two batches, each a ShotBatch or a BatchFile, must hold one source
+    state and share every nominal chain parameter except the displacement.
+    Their fold coordinates realize |X + d1| and |X + d2| in input-quadrature
+    units; the coordinate origin is moved by the smaller displacement, the
+    fold system is solved for the shifted variable, and the recovered
+    centers are displaced back.  Every check here is made before any outcome
+    is read.  Then both batches are binned, first ``batch_a`` then
+    ``batch_b``, one block at a time, on the grid from 0 up to
+    GRID_HALF_WIDTH + max(|d1|, |d2|) in whole bins, which the chain fixes;
+    fold coordinates beyond it count as overflow.
     """
     check_method("double", batch_a.params)
     check_method("double", batch_b.params)
@@ -373,13 +373,14 @@ def double_displacement_reconstruct(
                                   f"and {batch_b.state_label!r}) and cannot be unfolded together")
     d_a = fold_displacement(batch_a.params)
     d_b = fold_displacement(batch_b.params)
-    if d_b < d_a:
-        batch_a, batch_b = batch_b, batch_a
-        d_a, d_b = d_b, d_a
     if d_b == d_a:
         raise ValueError(
             "double_displacement_reconstruct needs two distinct displacements"
         )
     top = GRID_HALF_WIDTH + max(abs(d_a), abs(d_b))
-    return unfold_fold_samples(_bin_in_chunks(batch_a, bin_width, 0.0, top, d_a),
-                               _bin_in_chunks(batch_b, bin_width, 0.0, top, d_b), shift=d_a)
+    grid_bins(bin_width, 0.0, top)  # the bin cap, before any outcome is read
+    hist_a = _bin_in_chunks(batch_a, bin_width, 0.0, top, d_a)
+    hist_b = _bin_in_chunks(batch_b, bin_width, 0.0, top, d_b)
+    if d_b < d_a:
+        hist_a, hist_b, d_a = hist_b, hist_a, d_b
+    return unfold_fold_samples(hist_a, hist_b, shift=d_a)

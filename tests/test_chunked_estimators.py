@@ -3,17 +3,21 @@
 Whatever the batch size, each single-pass estimator's histogram equals
 ``bin_values`` over the whole inverted array, and the two-displacement
 route's unfold equals the one on fold histograms of the whole arrays.  The
-working memory an estimator allocates on top of its batch stays O(chunk).
+working memory an estimator allocates on top of its batch stays O(chunk),
+and so does that of the ``simulate`` and ``reconstruct`` commands, which
+hold no whole batch at all.
 """
 
+import contextlib
 import functools
+import io
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opatomo import reconstruct
+from opatomo import cli, reconstruct
 from opatomo.chain import BATCH_CHUNK, ChainParams, HomodyneDetector, chunk_sizes, run_batch
 from opatomo.hist import bin_values
 from opatomo.reconstruct import (
@@ -158,3 +162,43 @@ def test_estimator_working_memory_is_one_chunk(name):
     finally:
         tracemalloc.stop()
     assert peak <= MEMORY_BOUND, f"{name}: {peak / 2**20:.2f} MiB traced"
+
+
+# The commands' bound: one chunk's draws and chain terms take about 1.9 MiB,
+# while a whole batch at this scale is an 8 MiB outcome array.
+CLI_MEMORY_BOUND = 4 * 1024 * 1024
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory) -> dict[str, str]:
+    out = tmp_path_factory.mktemp("large")
+    paths = {}
+    for name in ("displaced", "double_a", "double_b"):
+        paths[name] = str(out / f"{name}.csv")
+        _large(name).to_csv(paths[name])
+    return paths
+
+
+def _cli_argv(command: str, files: dict[str, str], out_dir: str) -> list[str]:
+    if command == "simulate":
+        return ["simulate", "--state", "sq", "--displacement", "100",
+                "--n-shots", str(MEMORY_SHOTS), "--out-dir", out_dir]
+    if command == "displaced":
+        return ["reconstruct", "--batch", files["displaced"], "--method", "displaced",
+                "--out-dir", out_dir]
+    return ["reconstruct", "--batch", files["double_a"], "--batch2", files["double_b"],
+            "--method", "double", "--bin-width", str(DOUBLE_W), "--out-dir", out_dir]
+
+
+@pytest.mark.parametrize("command", ["simulate", "displaced", "double"])
+def test_cli_working_memory_is_one_chunk(tmp_path, large_files, command):
+    argv = _cli_argv(command, large_files, str(tmp_path))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= CLI_MEMORY_BOUND, f"{command}: {peak / 2**20:.2f} MiB traced"

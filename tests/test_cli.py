@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from opatomo import cli, experiments, reconstruct
-from opatomo.chain import ChainParams, HomodyneDetector, ShotBatch
+from opatomo.chain import (
+    BATCH_CHUNK,
+    ChainParams,
+    HomodyneDetector,
+    ShotBatch,
+    draw_chunk,
+    run_batch,
+)
 from opatomo.cli import EXIT_CONFIG, EXIT_OK, EXIT_POSITIVITY, RunConfig, build_parser, main
 from opatomo.experiments import (
     SweepSpec,
@@ -17,8 +24,16 @@ from opatomo.experiments import (
     squeezing_table,
     sweep_gain,
 )
-from opatomo.reconstruct import GRID_HALF_WIDTH, METHODS, fold_displacement
-from opatomo.states import SourceState
+from opatomo.reconstruct import (
+    GRID_HALF_WIDTH,
+    METHODS,
+    displaced_reconstruct,
+    double_displacement_reconstruct,
+    fold_displacement,
+    homodyne_reconstruct,
+    standard_reconstruct,
+)
+from opatomo.states import SourceState, preset
 
 
 def run_cli(capsys, *argv):
@@ -434,6 +449,130 @@ def _edit_header(path, edit):
         fh.write("# " + json.dumps(edit(json.loads(header[2:]))) + "\n" + rest)
 
 
+_SQ_100 = ("--state", "sq", "--displacement", "100")
+_MIX_33 = ("--state", "mix", "--displacement", "33", "--seed", "0")
+_MIX_66 = ("--state", "mix", "--displacement", "66", "--seed", "1")
+_LACKS_SEED = _rename("seed", "sede")
+_BAD_LAST_ROW = lambda rows: [*rows[:-1], "x"]  # noqa: E731
+
+# A batch file with two or more faults: its batches, each (simulate flags,
+# header edit, rows edit), the method and flags that read them, and the one
+# error that wins.  Every header, and every check on headers and flags, is
+# made before any row is read; after the headers come row parse errors, the
+# row count, non-finite values and positivity, in that order, file by file.
+MULTI_FAULTS = {
+    "header-before-rows": ([(_SQ_100, _LACKS_SEED, _BAD_LAST_ROW)], "displaced", [],
+                           "lacks seed"),
+    "unknown-state-before-rows": (
+        [(_SQ_100, lambda meta: {**meta, "state": "squeezed"}, _BAD_LAST_ROW)], "displaced", [],
+        "state: batch header names unknown preset 'squeezed'"),
+    "method-before-rows": ([(_SQ_100, None, _BAD_LAST_ROW)], "standard", [],
+                           "method: standard needs a batch taken at zero displacement"),
+    "bin-cap-before-rows": ([(_SQ_100, None, _BAD_LAST_ROW)], "displaced",
+                            ["--bin-width", "1e-7"], "exceeds the cap"),
+    "bin-cap-before-positivity": ([(("--state", "sq"), None, None)], "displaced",
+                                  ["--bin-width", "1e-7"], "exceeds the cap"),
+    "row-before-count": ([(_SQ_100, None, lambda rows: ["x", *rows[2:]])], "displaced", [],
+                         r"could not convert string to float: 'x\n'"),
+    "count-before-finite": ([(_SQ_100, None, lambda rows: ["nan", *rows[2:]])], "displaced", [],
+                            "n_shots = 200 but the file holds 199 outcomes"),
+    "finite-before-positivity": ([(("--state", "sq"), None, lambda rows: ["inf", *rows[1:]])],
+                                 "displaced", [], "outcomes must be finite"),
+    "second-header-before-first-rows": (
+        [(_MIX_33, None, _BAD_LAST_ROW), (_MIX_66, _LACKS_SEED, None)], "double", [],
+        "lacks seed"),
+    "states-before-rows": (
+        [(_MIX_33, None, _BAD_LAST_ROW), (("--state", "sq", "--displacement", "66"), None, None)],
+        "double", [], "batches hold different states ('mix' and 'sq')"),
+    "chains-before-rows": (
+        [(_MIX_33, None, _BAD_LAST_ROW), ((*_MIX_66, "--gain", "3"), None, None)], "double", [],
+        "disagree on nominal chain parameters"),
+    "displacements-before-rows": (
+        [(_MIX_33, None, _BAD_LAST_ROW), (("--state", "mix", "--displacement", "33"), None, None)],
+        "double", [], "needs two distinct displacements"),
+    "fold-bin-cap-before-rows": ([(_MIX_33, None, _BAD_LAST_ROW), (_MIX_66, None, None)], "double",
+                                 ["--bin-width", "1e-7"], "exceeds the cap"),
+    "first-file-before-second": (
+        [(_MIX_33, None, lambda rows: rows[:-1]), (_MIX_66, None, _BAD_LAST_ROW)], "double", [],
+        "n_shots = 200 but the file holds 199 outcomes"),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_FAULTS))
+def test_reconstruct_checks_every_header_before_any_row(capsys, tmp_path, case):
+    specs, method, extra, needle = MULTI_FAULTS[case]
+    paths = []
+    for i, (flags, header_edit, rows_edit) in enumerate(specs):
+        path = simulate(capsys, tmp_path / f"batch{i}", *flags, "--n-shots", "200")
+        if rows_edit is not None:
+            _rewrite_outcomes(path, rows_edit)
+        if header_edit is not None:
+            _edit_header(path, header_edit)
+        paths.append(path)
+    argv = ["--batch", paths[0], *(["--batch2", paths[1]] if paths[1:] else [])]
+    code, _, err = run_cli(capsys, "reconstruct", *argv, "--method", method, *extra,
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert needle in err
+    assert not (tmp_path / "out").exists()
+
+
+# Two whole blocks of rows and a part of a third.
+EDGE_SHOTS = 2 * BATCH_CHUNK + 7
+EDGE_BATCHES = {
+    "standard": [("sq", ChainParams(), 0)],
+    "displaced": [("sq", ChainParams(displacement=100.0), 0)],
+    "homodyne": [("sq", ChainParams(displacement=100.0, detector=HomodyneDetector()), 0)],
+    "double": [("mix", ChainParams(displacement=33.0), 0),
+               ("mix", ChainParams(displacement=66.0), 1)],
+}
+IN_MEMORY = {
+    "standard": standard_reconstruct,
+    "displaced": displaced_reconstruct,
+    "homodyne": homodyne_reconstruct,
+    "double": lambda a, b, w: double_displacement_reconstruct(a, b, w)[0],
+}
+
+
+def _write_ragged(batch: ShotBatch, path) -> None:
+    """``batch`` as a batch file with CRLF line ends and blank lines between
+    its first two blocks of rows and at its end."""
+    batch.to_csv(path)
+    lines = path.read_text().splitlines()
+    boundary = 2 + BATCH_CHUNK
+    lines[boundary:boundary] = ["", " \t"]
+    path.write_bytes(("\r\n".join([*lines, "", "  "]) + "\r\n").encode())
+
+
+@pytest.mark.parametrize("method", list(EDGE_BATCHES))
+def test_reconstruct_reads_blocks_as_the_in_memory_route_does(capsys, tmp_path, method):
+    width = "0.2" if method == "double" else "0.05"
+    batches = [run_batch(preset(state), params, EDGE_SHOTS, seed)
+               for state, params, seed in EDGE_BATCHES[method]]
+    paths = []
+    for i, batch in enumerate(batches):
+        paths.append(tmp_path / f"batch{i}.csv")
+        _write_ragged(batch, paths[-1])
+        assert np.array_equal(ShotBatch.from_csv(paths[-1]).outcomes, batch.outcomes)
+    argv = ["--batch", str(paths[0]), *(["--batch2", str(paths[1])] if paths[1:] else [])]
+    code, _, err = run_cli(capsys, "reconstruct", *argv, "--method", method,
+                           "--bin-width", width, "--out-dir", str(tmp_path / "cli"))
+    assert code == EXIT_OK, err
+    IN_MEMORY[method](*batches, float(width)).to_csv(tmp_path / "in_memory.csv")
+    assert ((tmp_path / "cli" / f"recon_{method}_batch0.csv").read_bytes()
+            == (tmp_path / "in_memory.csv").read_bytes())
+
+
+def test_reconstruct_refuses_a_row_past_a_whole_block(capsys, tmp_path):
+    batch = run_batch(preset("sq"), ChainParams(displacement=100.0), BATCH_CHUNK + 1, seed=0)
+    path = tmp_path / "batch.csv"
+    replace(batch, n_shots=BATCH_CHUNK).to_csv(path)
+    err = _reconstruct_exit(capsys, tmp_path, str(path))
+    assert f"n_shots = {BATCH_CHUNK} but the file holds {BATCH_CHUNK + 1} outcomes" in err
+    assert not list(tmp_path.glob("recon_*"))
+
+
 def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
                      "--n-shots", "200")
@@ -666,6 +805,29 @@ def test_simulate_overflowing_chain_exits_with_config_error(capsys, tmp_path):
                            "--out-dir", str(tmp_path))
     assert code == EXIT_CONFIG
     assert err.startswith("error: overflow") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_simulate_that_fails_midway_leaves_no_batch_file(capsys, tmp_path, monkeypatch):
+    # The first chunk is on disk when the second one fails; nothing of the
+    # batch, partial or whole, outlives the failure.
+    on_disk = []
+
+    def failing(state, seed, index, count):
+        if index == 1:
+            on_disk.extend(path.name for path in tmp_path.glob("batch_*"))
+            raise FloatingPointError("overflow encountered in exp")
+        return draw_chunk(state, seed, index, count)
+
+    monkeypatch.setattr("opatomo.chain.draw_chunk", failing)
+    code, _, err = run_cli(capsys, "simulate", "--n-shots", str(3 * BATCH_CHUNK),
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (EXIT_CONFIG, "error: overflow encountered in exp "
+                                        "(the inputs leave the floating-point range)\n")
+    assert on_disk and os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    simulate(capsys, tmp_path, "--n-shots", str(3 * BATCH_CHUNK))
+    assert sorted(os.listdir(tmp_path)) == ["batch_sq_0.csv", "batch_sq_0.json"]
 
 
 def test_reconstruct_overflowing_header_gain_exits_with_config_error(capsys, tmp_path):

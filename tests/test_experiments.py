@@ -284,7 +284,7 @@ def test_engine_positivity_agrees_with_check_positivity():
         batch = run_batch(preset(spec.state), params, spec.n_shots, seed)
         assert row.aux["near_zero_fraction"] == near_zero_fraction(batch)
         try:
-            check_positivity(batch)
+            check_positivity(batch, near_zero_fraction(batch))
             accepted = True
         except PositivityViolation as exc:
             assert exc.fraction == row.aux["near_zero_fraction"]

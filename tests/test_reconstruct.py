@@ -165,7 +165,7 @@ def test_displaced_passes_positivity_far_from_fold():
 def test_displaced_raises_positivity_at_zero_displacement():
     batch = run_batch(preset("sq"), ChainParams(), 20_000, 7)
     with pytest.raises(PositivityViolation) as info:
-        check_positivity(batch)
+        check_positivity(batch, near_zero_fraction(batch))
     exc = info.value
     assert exc.fraction > POSITIVITY_THRESHOLD
     assert exc.fraction == near_zero_fraction(batch)

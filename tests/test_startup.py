@@ -38,21 +38,33 @@ COMMANDS = {
     "sweep-homodyne-d": ["sweep", "--kind", "homodyne-d", "--grid", "10,100", *_SMALL],
     "sweep-homodyne-gain": ["sweep", "--kind", "homodyne-gain", "--grid", "2,3", *_SMALL],
     "squeeze": ["squeeze", "--m", "3", *_SMALL],
+    "reconstruct-standard": ["reconstruct", "--batch", "{sq_d0}", "--method", "standard"],
     "reconstruct-displaced": ["reconstruct", "--batch", "{sq}", "--method", "displaced"],
+    "reconstruct-homodyne": ["reconstruct", "--batch", "{sq_homodyne}", "--method", "homodyne"],
     "reconstruct-double": ["reconstruct", "--batch", "{mix0}", "--batch2", "{mix1}",
                            "--method", "double", "--bin-width", "0.2"],
+}
+
+# Batch name -> the simulate flags that write it.
+BATCHES = {
+    "sq": ["--state", "sq", "--displacement", "100", "--seed", "0"],
+    "sq_d0": ["--state", "sq", "--displacement", "0", "--seed", "1"],
+    "sq_homodyne": ["--state", "sq", "--displacement", "100", "--detector", "homodyne",
+                    "--seed", "2"],
+    "mix0": ["--state", "mix", "--displacement", "33", "--seed", "0"],
+    "mix1": ["--state", "mix", "--displacement", "66", "--seed", "1"],
 }
 
 
 @pytest.fixture(scope="module")
 def batches(tmp_path_factory) -> dict[str, str]:
     out = tmp_path_factory.mktemp("batches")
-    for state, d, seed in (("sq", "100", "0"), ("mix", "33", "0"), ("mix", "66", "1")):
-        code = main(["simulate", "--state", state, "--displacement", d, "--n-shots", "300",
-                     "--seed", seed, "--out-dir", str(out)])
+    paths = {}
+    for name, flags in BATCHES.items():
+        code = main(["simulate", *flags, "--n-shots", "300", "--out-dir", str(out / name)])
         assert code == EXIT_OK
-    return {name: str(out / f"batch_{stem}.csv")
-            for name, stem in (("sq", "sq_0"), ("mix0", "mix_0"), ("mix1", "mix_1"))}
+        paths[name] = str(out / name / f"batch_{flags[1]}_{flags[-1]}.csv")
+    return paths
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
