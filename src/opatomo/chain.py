@@ -291,13 +291,8 @@ class ShotBatch:
     @staticmethod
     def from_csv(path) -> "ShotBatch":
         file = BatchFile.read_header(path)
-        return ShotBatch(
-            outcomes=np.concatenate(list(file.blocks())),
-            params=file.params,
-            n_shots=file.n_shots,
-            seed=file.seed,
-            state_label=file.state_label,
-        )
+        outcomes = np.concatenate(list(file.blocks()))
+        return ShotBatch(outcomes, file.params, file.n_shots, file.seed, file.state_label)
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ class BatchFile:
     block of them.
     """
 
-    path: str
+    path: str | os.PathLike
     params: ChainParams
     n_shots: int
     seed: int
@@ -451,17 +446,7 @@ def batch_chunks(state: SourceState, params: ChainParams, n_shots: int, seed: in
         yield apply_chunk(draw_chunk(state, seed, i, count), params)
 
 
-def run_batch(
-    state: SourceState,
-    params: ChainParams,
-    n_shots: int,
-    seed: int,
-) -> ShotBatch:
+def run_batch(state: SourceState, params: ChainParams, n_shots: int, seed: int) -> ShotBatch:
     """Simulate n_shots outcomes into memory (see ``batch_chunks``)."""
-    return ShotBatch(
-        outcomes=np.concatenate(list(batch_chunks(state, params, n_shots, seed))),
-        params=params,
-        n_shots=n_shots,
-        seed=seed,
-        state_label=state.label,
-    )
+    outcomes = np.concatenate(list(batch_chunks(state, params, n_shots, seed)))
+    return ShotBatch(outcomes, params, n_shots, seed, state.label)
