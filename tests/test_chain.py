@@ -7,6 +7,7 @@ import pytest
 from opatomo.chain import (
     BATCH_CHUNK,
     CHAIN_NORMALS,
+    BatchFile,
     ChainParams,
     ConfigError,
     HomodyneDetector,
@@ -251,6 +252,24 @@ def test_batch_csv_round_trip(tmp_path):
     assert loaded.seed == 21
     assert loaded.n_shots == 500
     assert loaded.state_label == "sq_disp"
+
+
+def test_batch_file_yields_no_block_past_a_non_finite_outcome(tmp_path):
+    # The non-finite value sits in the second block: the first block is
+    # yielded, the second is not, and the refusal comes after the last row,
+    # so a row that does not parse in the third block wins over it.
+    batch = run_batch(preset("sq"), ChainParams(displacement=100.0), 2 * BATCH_CHUNK + 1, seed=0)
+    outcomes = batch.outcomes.copy()
+    outcomes[BATCH_CHUNK + 3] = np.nan
+    path = tmp_path / "batch.csv"
+    replace(batch, outcomes=outcomes).to_csv(path)
+    seen = []
+    with pytest.raises(ValueError, match="outcomes must be finite"):
+        seen.extend(BatchFile.read_header(path).blocks())
+    assert len(seen) == 1 and np.array_equal(seen[0], outcomes[:BATCH_CHUNK])
+    path.write_text(path.read_text().rstrip("\n").rsplit("\n", 1)[0] + "\nx\n")
+    with pytest.raises(ValueError, match="could not convert"):
+        list(BatchFile.read_header(path).blocks())
 
 
 def test_batch_csv_rejects_garbage(tmp_path):
