@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class IntensityDetector:
-    kind: str = "intensity"
+    kind: str = field(default="intensity", init=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class HomodyneDetector:
     lo_amplitude: float = 1.0
     vacuum_noise: float = 0.5
     electronic_noise: float = 0.0
-    kind: str = "homodyne"
+    kind: str = field(default="homodyne", init=False)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ class ChainParams:
     detector: IntensityDetector | HomodyneDetector = field(default_factory=IntensityDetector)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         checks = [
             ("gain", self.gain >= 0.0, "must be >= 0"),
             ("gain_jitter", self.gain_jitter >= 0.0, "must be >= 0"),
@@ -265,19 +262,18 @@ def homodyne_shot(
     return out
 
 
-def _shot_fn(params: ChainParams):
-    return homodyne_shot if isinstance(params.detector, HomodyneDetector) else intensity_shot
-
-
 @dataclass(frozen=True)
 class ShotBatch:
-    """Outcomes of n_shots passes of one state through one chain setting."""
+    """Outcomes of passes of one state through one chain setting."""
 
     outcomes: np.ndarray
     params: ChainParams
-    n_shots: int
     seed: int
     state_label: str = ""
+
+    @property
+    def n_shots(self) -> int:
+        return self.outcomes.size
 
     def blocks(self):
         """The outcomes in BATCH_CHUNK-sized slices, in order; an empty batch
@@ -292,7 +288,7 @@ class ShotBatch:
     def from_csv(path) -> "ShotBatch":
         file = BatchFile.read_header(path)
         outcomes = np.concatenate(list(file.blocks()))
-        return ShotBatch(outcomes, file.params, file.n_shots, file.seed, file.state_label)
+        return ShotBatch(outcomes, file.params, file.seed, file.state_label)
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,10 @@ class BatchFile:
             first = fh.readline()
             if not first.startswith("# "):
                 raise ValueError(f"{path}: missing batch header line")
-            meta = json.loads(first[2:])
+            try:
+                meta = json.loads(first[2:])
+            except RecursionError:  # not a ValueError, so refuse it as one
+                raise ValueError(f"{path}: batch header nests too deeply") from None
             column = fh.readline().strip()
             if column != "outcome":
                 raise ValueError(f"{path}: unexpected column header {column!r}")
@@ -431,7 +430,8 @@ def apply_chunk(draws: tuple, params: ChainParams, cache: dict | None = None) ->
     ``intensity_shot``); the outcomes do not change.
     """
     x, p, normals = draws
-    return _shot_fn(params)(x, p, params, normals, cache)
+    shot = homodyne_shot if params.detector.kind == "homodyne" else intensity_shot
+    return shot(x, p, params, normals, cache)
 
 
 def batch_chunks(state: SourceState, params: ChainParams, n_shots: int, seed: int):
@@ -449,4 +449,4 @@ def batch_chunks(state: SourceState, params: ChainParams, n_shots: int, seed: in
 def run_batch(state: SourceState, params: ChainParams, n_shots: int, seed: int) -> ShotBatch:
     """Simulate n_shots outcomes into memory (see ``batch_chunks``)."""
     outcomes = np.concatenate(list(batch_chunks(state, params, n_shots, seed)))
-    return ShotBatch(outcomes, params, n_shots, seed, state.label)
+    return ShotBatch(outcomes, params, seed, state.label)

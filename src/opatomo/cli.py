@@ -92,24 +92,23 @@ class RunConfig:
         if self.detector not in ("intensity", "homodyne"):
             raise ConfigError("detector", f"unknown detector {self.detector!r}")
         validate_scale(self.n_shots, self.seed, self.bin_width)
-        self.params.validate()
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
 
-def _field_casters(cls, skip: tuple[str, ...] = ()) -> dict:
-    """Config key -> caster for each field of ``cls`` that has a plain
-    default; the caster is the default's type."""
+def _field_casters(cls) -> dict:
+    """Config key -> caster for each constructor field of ``cls`` that has a
+    plain default; the caster is the default's type."""
     return {
         f.name: type(f.default)
         for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING and f.name not in skip
+        if f.default is not dataclasses.MISSING and f.init
     }
 
 
 _CHAIN_FIELDS = _field_casters(ChainParams)
-_DETECTOR_FIELDS = _field_casters(HomodyneDetector, skip=("kind",))
+_DETECTOR_FIELDS = _field_casters(HomodyneDetector)
 _RUN_FIELDS = _field_casters(RunConfig)
 _SETTINGS = {**_RUN_FIELDS, **_CHAIN_FIELDS, **_DETECTOR_FIELDS}
 # Settings that also have a flag of their own.
@@ -210,10 +209,10 @@ def _estimate_in_blocks(estimator, batch: BatchFile, bin_width: float):
     so a method or grid that cannot read the batch is refused before any
     row is read.
     """
-    chunk = ShotBatch(np.empty(0), batch.params, 0, batch.seed, batch.state_label)
+    chunk = ShotBatch(np.empty(0), batch.params, batch.seed, batch.state_label)
     estimate, near_zero = estimator(chunk, bin_width), 0
     for block in batch.blocks():
-        chunk = ShotBatch(block, batch.params, block.size, batch.seed, batch.state_label)
+        chunk = ShotBatch(block, batch.params, batch.seed, batch.state_label)
         estimate += estimator(chunk, bin_width)
         near_zero += round(near_zero_fraction(chunk) * block.size)
     return estimate, near_zero / batch.n_shots
@@ -312,6 +311,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.param or not args.grid:
             raise ConfigError("param/grid", "robustness sweeps need --param and --grid")
         param = args.param
+    elif args.param is not None:
+        raise ConfigError("param", f"the {args.kind} sweep sets {param}; only robustness takes it")
     config = build_config(args, {param: f"the {args.kind} sweep sets it at every point",
                                  **_SWEEP_REFUSES, **refused})
     methods = tuple((args.methods or "standard,displaced").split(","))

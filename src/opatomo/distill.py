@@ -56,16 +56,13 @@ class OutOfRange(DistillError):
 class ParabolaFit:
     """Concave parabola p(x) = c - (a/2) (x - b)^2 fitted to density points.
 
-    ``a`` is the curvature magnitude |p''(b)| > 0, ``b`` the apex location,
-    ``c`` the apex density, ``m`` the number of fitted bins, and
-    ``center_bin`` the histogram bin the window was centered on.
+    ``a`` is the curvature magnitude |p''(b)| > 0, ``b`` the apex location
+    and ``c`` the apex density.
     """
 
     a: float
     b: float
     c: float
-    m: int
-    center_bin: int
 
 
 def select_peak(hist) -> int:
@@ -127,9 +124,7 @@ def fit_parabola(hist, center_bin: int, m: int) -> ParabolaFit:
     apex_offset = q1 / a
     c = q0 + 0.5 * q1 * apex_offset
     centers = np.asarray(hist.centers, dtype=float)
-    return ParabolaFit(
-        a=a, b=float(centers[center_bin] + apex_offset), c=c, m=m, center_bin=center_bin
-    )
+    return ParabolaFit(a=a, b=float(centers[center_bin] + apex_offset), c=c)
 
 
 def distillable_variance(fit: ParabolaFit) -> float:

@@ -150,7 +150,6 @@ class SweepSpec:
             if self.methods.count(method) > 1:
                 raise ConfigError("methods", f"{method!r} is listed twice")
         preset(self.state)  # raises on unknown preset
-        self.params.validate()
 
     def canonical_json(self) -> str:
         payload = asdict(self)
@@ -238,7 +237,7 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
         draws = draw_chunk(state, seed, index, count)
         cache: dict = {}
         for k, (params, method) in enumerate(pairs):
-            batch = ShotBatch(apply_chunk(draws, params, cache), params, count, seed, state.label)
+            batch = ShotBatch(apply_chunk(draws, params, cache), params, seed, state.label)
             hist = globals()[METHODS[method][2]](batch, bin_width)
             hists[k] = hist if hists[k] is None else hists[k] + hist
             if method == "displaced":
@@ -248,12 +247,13 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     return {pair: (hist, z) for pair, hist, z in zip(pairs, hists, near_zero)}
 
 
-def _sweep(spec: SweepSpec, at, curves=()) -> list[SweepRow]:
-    """One row per point; the points of grid value ``v`` run at ``at(v)``.
+def _sweep(spec: SweepSpec, curves=()) -> list[SweepRow]:
+    """One row per point; the points of grid value ``v`` run at the spec's
+    chain with ``spec.param`` set to ``v`` (``_gain_sweep_params`` for a gain).
 
     They are, in order: every homodyne curve ``(label, detector, extra_aux)``
     on its detector, then every method of ``spec.methods``, on the intensity
-    detector when the sweep has curves and on ``at(v)`` as given otherwise.
+    detector when the sweep has curves and on the spec's detector otherwise.
     The spec, and each method against its detector, are checked before
     anything is drawn.  The standard estimator has no displacement knob, so
     its points run at d = 0.  Every point shares the spec's repeat seeds, so
@@ -264,7 +264,8 @@ def _sweep(spec: SweepSpec, at, curves=()) -> list[SweepRow]:
     spec.validate()
     points = []
     for value in spec.grid:
-        params = at(float(value))
+        params = (_gain_sweep_params(spec.params, float(value)) if spec.param == "gain"
+                  else replace(spec.params, **{spec.param: float(value)}))
         for label, detector, extra in curves:
             points.append((value, label, replace(params, detector=detector), "homodyne", extra))
         if curves:
@@ -306,7 +307,7 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
     estimator has no displacement knob, so it runs at d = 0 and its
     (mean, std) row is replicated across the grid as a flat reference.
     """
-    rows = _sweep(spec, lambda d: replace(spec.params, displacement=d))
+    rows = _sweep(spec)
     summary: dict = {}
     disp = [r for r in rows if r.method == "displaced"]
     if disp:
@@ -353,7 +354,7 @@ def _saturation_summary(rows: list[SweepRow]) -> dict:
 
 def sweep_gain(spec: SweepSpec) -> SweepResult:
     """Infidelity as a function of the amplification exponent."""
-    rows = _sweep(spec, lambda g: _gain_sweep_params(spec.params, g))
+    rows = _sweep(spec)
     return SweepResult(spec, rows, _saturation_summary(rows))
 
 
@@ -362,7 +363,7 @@ def robustness_sweep(spec: SweepSpec) -> SweepResult:
     defaults; reports the knee where the error leaves its floor."""
     if spec.param not in _ROBUSTNESS_FIELDS:
         raise ConfigError("param", f"must be one of {_ROBUSTNESS_FIELDS}, got {spec.param!r}")
-    rows = _sweep(spec, lambda v: replace(spec.params, **{spec.param: v}))
+    rows = _sweep(spec)
     summary: dict = {"knee": {}, "monotone_increasing": {}}
     for method in spec.methods:
         curve = [r for r in rows if r.method == method]
@@ -396,7 +397,7 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
              {"efficiency": eta})
             for eta in (1.0, 0.9, 0.5, 0.1)
         ]
-        rows = _sweep(spec, lambda g: _gain_sweep_params(spec.params, g), curves)
+        rows = _sweep(spec, curves)
         return SweepResult(spec, rows, _saturation_summary(rows))
     if spec.param != "displacement":
         raise ConfigError("param", f"must be 'displacement' or 'gain', got {spec.param!r}")
@@ -404,8 +405,7 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
     detector = spec.params.detector
     if not isinstance(detector, HomodyneDetector):
         detector = HomodyneDetector(efficiency=0.5, electronic_noise=0.1)
-    rows = _sweep(spec, lambda d: replace(spec.params, displacement=d),
-                  [("homodyne", detector, {})])
+    rows = _sweep(spec, [("homodyne", detector, {})])
     h_means = [r.mean_infidelity for r in rows if r.method == "homodyne"]
     # statistics.median, not np.median: the latter loads numpy.ma on first use.
     band = 2.0 * statistics.median(r.std_infidelity for r in rows if r.method == "homodyne")

@@ -24,6 +24,9 @@ __all__ = [
 # component is within this factor of the largest entry of M^T b.
 KKT_RTOL = 1e-8
 
+# The iteration cap is this many active-set changes per column of M.
+MAX_ITER_PER_COLUMN = 10
+
 
 @dataclass(frozen=True)
 class NnlsResult:
@@ -57,7 +60,7 @@ def _validate_system(matrix, rhs) -> tuple[np.ndarray, np.ndarray]:
     return m, b
 
 
-def solve_nnls(matrix, rhs, max_iter: int | None = None) -> NnlsResult:
+def solve_nnls(matrix, rhs) -> NnlsResult:
     """Non-negative least squares: minimize ||M x - b|| subject to x >= 0.
 
     Lawson-Hanson active-set iteration.  At the returned point the KKT
@@ -66,13 +69,12 @@ def solve_nnls(matrix, rhs, max_iter: int | None = None) -> NnlsResult:
     zero ones.  Ties for the entering index break toward the lowest index,
     which keeps the iteration deterministic across platforms.
 
-    When the iteration cap (default ``10 * n_columns``) is reached the best
-    iterate found so far is returned with ``converged=False``.
+    When the iteration cap, ``MAX_ITER_PER_COLUMN * n_columns``, is reached
+    the best iterate found so far is returned with ``converged=False``.
     """
     m, b = _validate_system(matrix, rhs)
-    n_rows, n_cols = m.shape
-    if max_iter is None:
-        max_iter = 10 * n_cols
+    n_cols = m.shape[1]
+    max_iter = MAX_ITER_PER_COLUMN * n_cols
 
     x = np.zeros(n_cols)
     passive = np.zeros(n_cols, dtype=bool)

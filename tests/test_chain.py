@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -254,6 +254,17 @@ def test_batch_csv_round_trip(tmp_path):
     assert loaded.state_label == "sq_disp"
 
 
+def test_batch_n_shots_is_its_outcome_count(tmp_path):
+    # n_shots is derived from the outcomes, so no batch can claim another count.
+    assert "n_shots" not in {f.name for f in fields(ShotBatch)}
+    batch = run_batch(preset("sq"), ChainParams(displacement=100.0), BATCH_CHUNK + 3, seed=2)
+    batch.to_csv(tmp_path / "batch.csv")
+    loaded = ShotBatch.from_csv(tmp_path / "batch.csv")
+    empty = ShotBatch(np.empty(0), ChainParams(), seed=0)
+    for b, n in ((batch, BATCH_CHUNK + 3), (loaded, BATCH_CHUNK + 3), (empty, 0)):
+        assert b.n_shots == b.outcomes.size == n
+
+
 def test_batch_file_yields_no_block_past_a_non_finite_outcome(tmp_path):
     # The non-finite value sits in the second block: the first block is
     # yielded, the second is not, and the refusal comes after the last row,
@@ -330,6 +341,21 @@ def test_params_dict_round_trip():
 def test_from_dict_unknown_detector():
     with pytest.raises(ConfigError):
         ChainParams.from_dict({"detector": {"kind": "calorimeter"}})
+
+
+@pytest.mark.parametrize("cls,kind,other", [(IntensityDetector, "intensity", "homodyne"),
+                                            (HomodyneDetector, "homodyne", "intensity")])
+def test_a_detector_kind_is_fixed_by_its_class(cls, kind, other):
+    # A detector cannot name another kind, so the shot function, the method
+    # check and the inversion all read the class's kind.
+    with pytest.raises(TypeError):
+        cls(kind=other)
+    with pytest.raises(TypeError):
+        cls(kind=kind)
+    assert cls().kind == kind
+    # The kind is still written, so batch headers keep their bytes.
+    assert asdict(cls())["kind"] == kind
+    assert ChainParams(detector=cls()).to_dict()["detector"]["kind"] == kind
 
 
 def test_default_detector_is_intensity():

@@ -58,7 +58,7 @@ def _batch(name: str):
 
 def _head(name: str, size: int):
     batch = _batch(name)
-    return replace(batch, outcomes=batch.outcomes[:size], n_shots=size)
+    return replace(batch, outcomes=batch.outcomes[:size])
 
 
 def _whole(name: str, size: int, bin_width: float, lo: float, hi: float):
@@ -140,7 +140,7 @@ def _large(name: str):
     """A 2^20-outcome batch: the first BATCH_CHUNK outcomes, repeated."""
     batch = _head(name, BATCH_CHUNK)
     outcomes = np.tile(batch.outcomes, MEMORY_SHOTS // BATCH_CHUNK)
-    return replace(batch, outcomes=outcomes, n_shots=outcomes.size)
+    return replace(batch, outcomes=outcomes)
 
 
 @pytest.mark.parametrize("name", [*ESTIMATORS, "double"])

@@ -10,6 +10,7 @@ import pytest
 from opatomo import cli, experiments, reconstruct
 from opatomo.chain import (
     BATCH_CHUNK,
+    BatchFile,
     ChainParams,
     HomodyneDetector,
     ShotBatch,
@@ -327,7 +328,7 @@ def test_reconstruct_double_counts_stray_outcomes_as_overflow(capsys, tmp_path, 
     # Two stray rows join the first batch, its header's n_shots following.
     batch = ShotBatch.from_csv(first)
     outcomes = np.concatenate([batch.outcomes, [stray, stray]])
-    replace(batch, outcomes=outcomes, n_shots=outcomes.size).to_csv(first)
+    replace(batch, outcomes=outcomes).to_csv(first)
     strayed = report("stray")
     assert strayed["N"] == clean["N"] + 2
     assert (strayed["diag_n1"], strayed["diag_n2"]) == (clean["diag_n1"], clean["diag_n2"]) == (7, 10)
@@ -567,10 +568,21 @@ def test_reconstruct_reads_blocks_as_the_in_memory_route_does(capsys, tmp_path, 
 def test_reconstruct_refuses_a_row_past_a_whole_block(capsys, tmp_path):
     batch = run_batch(preset("sq"), ChainParams(displacement=100.0), BATCH_CHUNK + 1, seed=0)
     path = tmp_path / "batch.csv"
-    replace(batch, n_shots=BATCH_CHUNK).to_csv(path)
+    BatchFile(path, batch.params, BATCH_CHUNK, batch.seed, batch.state_label).write(
+        batch.blocks())
     err = _reconstruct_exit(capsys, tmp_path, str(path))
     assert f"n_shots = {BATCH_CHUNK} but the file holds {BATCH_CHUNK + 1} outcomes" in err
     assert not list(tmp_path.glob("recon_*"))
+
+
+
+def test_reconstruct_refuses_a_deeply_nested_header(capsys, tmp_path):
+    # json.loads raises RecursionError, which is not a ValueError, on such a header.
+    path = tmp_path / "batch.csv"
+    path.write_text("# " + "[" * 200_000 + "\noutcome\n1.0\n")
+    err = _reconstruct_exit(capsys, tmp_path, str(path))
+    assert err == f"error: {path}: batch header nests too deeply\n"
+    assert os.listdir(tmp_path) == ["batch.csv"]
 
 
 def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
@@ -989,6 +1001,21 @@ def test_sweeps_refuse_a_bin_width_beyond_the_cap_before_any_draw(capsys, tmp_pa
     assert code == EXIT_CONFIG
     assert err == ("error: bin_width: a grid of 1714286 bins of width 7e-06 exceeds the cap "
                    "of 1000000 bins; use a wider bin width\n")
+    assert draws == []
+    assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("kind", sorted(set(METHOD_SWEEPS) - {"robustness"}))
+def test_sweep_refuses_param_where_the_kind_sets_its_field(capsys, tmp_path, monkeypatch, kind):
+    # Only a robustness sweep reads --param; every other kind sweeps its own field.
+    draws = []
+    monkeypatch.setattr(experiments, "draw_chunk", lambda *args: draws.append(args))
+    code, _, err = run_cli(capsys, "sweep", "--kind", kind, *METHOD_SWEEPS[kind],
+                           "--param", "output_noise", "--state", "sq_disp", "--n-shots", "2000",
+                           "--repeats", "1", "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: param: ") and len(err.splitlines()) == 1
     assert draws == []
     assert not (tmp_path / "out").exists()
 

@@ -56,7 +56,7 @@ def test_double_survives_any_finite_first_batch():
     def reconstruct(rows):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "first.csv"), os.path.join(tmp, "second.csv")
-            replace(_FIRST, outcomes=np.array(rows), n_shots=len(rows)).to_csv(first)
+            replace(_FIRST, outcomes=np.array(rows)).to_csv(first)
             _SECOND.to_csv(second)
             code, err, caught = _run(["reconstruct", "--batch", first, "--batch2", second,
                                       "--method", "double", "--out-dir", tmp])

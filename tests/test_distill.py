@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -46,8 +47,6 @@ def test_fit_recovers_exact_parabola(m):
     assert fit.a == pytest.approx(a, abs=1e-12)
     assert fit.b == pytest.approx(b, abs=1e-12)
     assert fit.c == pytest.approx(c, abs=1e-12)
-    assert fit.m == m
-    assert fit.center_bin == center_bin
 
 
 def test_fit_window_off_apex_recovers_same_parabola():
@@ -84,11 +83,19 @@ def test_fit_m_must_be_odd_and_at_least_three(m):
 
 
 def test_distillable_variance_arithmetic():
-    assert distillable_variance(ParabolaFit(a=1.0, b=0.0, c=2.0, m=3, center_bin=0)) == 1.0
+    assert distillable_variance(ParabolaFit(a=1.0, b=0.0, c=2.0)) == 1.0
     with pytest.raises(NonPositiveApex):
-        distillable_variance(ParabolaFit(a=1.0, b=0.0, c=0.0, m=3, center_bin=0))
+        distillable_variance(ParabolaFit(a=1.0, b=0.0, c=0.0))
     with pytest.raises(NonPositiveApex):
-        distillable_variance(ParabolaFit(a=1.0, b=0.0, c=-0.2, m=3, center_bin=0))
+        distillable_variance(ParabolaFit(a=1.0, b=0.0, c=-0.2))
+
+
+
+def test_parabola_fit_holds_only_the_parabola():
+    # The window size and centre bin are the caller's own arguments.
+    assert [f.name for f in fields(ParabolaFit)] == ["a", "b", "c"]
+    with pytest.raises(TypeError):
+        ParabolaFit(a=1.0, b=0.0, c=2.0, m=3, center_bin=0)
 
 
 # -- peak finding ----------------------------------------------------------------

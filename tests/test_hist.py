@@ -201,7 +201,7 @@ def test_whole_bin_grids_keep_their_bytes():
             hist = bin_values(values, w, lo, hi)
             assert (hist.origin, hist.n_bins, hist.counts.tolist(), hist.overflow) == (
                 _exact_grid_histogram(values, w, lo, hi)), (k, lo)
-        batch = ShotBatch(np.array([0.0, 1.0, 1e9]), ChainParams(), 3, 0, "vac")
+        batch = ShotBatch(np.array([0.0, 1.0, 1e9]), ChainParams(), 0, "vac")
         mirrored = standard_reconstruct(batch, w)
         assert (mirrored.origin, mirrored.n_bins) == (-6.0, 2 * k)
     # The grid alone, over a finer range of the same widths.

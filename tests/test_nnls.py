@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opatomo import nnls
 from opatomo.nnls import KKT_RTOL, NnlsResult, solve_nnls
 
 
@@ -115,8 +116,9 @@ def test_nnls_row_permutation_invariant():
     assert np.allclose(base.x, permuted.x, atol=1e-8)
 
 
-def test_nnls_iteration_cap():
-    result = solve_nnls(np.eye(2), np.array([1.0, 1.0]), max_iter=0)
+def test_nnls_iteration_cap(monkeypatch):
+    monkeypatch.setattr(nnls, "MAX_ITER_PER_COLUMN", 0)
+    result = solve_nnls(np.eye(2), np.array([1.0, 1.0]))
     assert not result.converged
     assert np.allclose(result.x, 0.0)
     assert result.n_iter == 0

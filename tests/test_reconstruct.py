@@ -454,7 +454,7 @@ def test_double_counts_stray_outcomes_as_overflow(stray):
     clean, clean_diag = double_displacement_reconstruct(a, b, 0.2)
     outcomes = np.concatenate([a.outcomes, [stray, stray]])
     estimate, diag = double_displacement_reconstruct(
-        replace(a, outcomes=outcomes, n_shots=outcomes.size), b, 0.2)
+        replace(a, outcomes=outcomes), b, 0.2)
     assert (clean_diag["n1"], clean_diag["n2"]) == (7, 10)
     assert clean_diag["model_displacement"] == pytest.approx(0.6, rel=1e-12)
     for key in ("n1", "n2", "model_displacement"):
