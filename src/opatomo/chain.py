@@ -264,7 +264,7 @@ def homodyne_shot(
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Outcomes of passes of one state through one chain setting."""
+    """Outcomes of n_shots passes of one state through one chain setting."""
 
     outcomes: np.ndarray
     params: ChainParams
