@@ -575,7 +575,6 @@ def test_reconstruct_refuses_a_row_past_a_whole_block(capsys, tmp_path):
     assert not list(tmp_path.glob("recon_*"))
 
 
-
 def test_reconstruct_refuses_a_deeply_nested_header(capsys, tmp_path):
     # json.loads raises RecursionError, which is not a ValueError, on such a header.
     path = tmp_path / "batch.csv"
@@ -1003,7 +1002,6 @@ def test_sweeps_refuse_a_bin_width_beyond_the_cap_before_any_draw(capsys, tmp_pa
                    "of 1000000 bins; use a wider bin width\n")
     assert draws == []
     assert not (tmp_path / "out").exists()
-
 
 
 @pytest.mark.parametrize("kind", sorted(set(METHOD_SWEEPS) - {"robustness"}))

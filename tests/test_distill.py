@@ -90,7 +90,6 @@ def test_distillable_variance_arithmetic():
         distillable_variance(ParabolaFit(a=1.0, b=0.0, c=-0.2))
 
 
-
 def test_parabola_fit_holds_only_the_parabola():
     # The window size and centre bin are the caller's own arguments.
     assert [f.name for f in fields(ParabolaFit)] == ["a", "b", "c"]
