@@ -18,7 +18,7 @@ row order is fixed and documented, so batches are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 import json
 import math
@@ -122,10 +122,6 @@ class ChainParams:
             for f in fields(obj):
                 if isinstance(f.default, float) and not math.isfinite(getattr(obj, f.name)):
                     raise ConfigError(prefix + f.name, "must be finite")
-
-    def chain_key(self) -> "ChainParams":
-        """The same chain at zero displacement; used to pair batches."""
-        return replace(self, displacement=0.0)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -37,11 +37,11 @@ from .experiments import (
     GAIN_SWEEP_FOLD_D,
     SQUEEZING_TABLE_M,
     SweepSpec,
-    homodyne_comparison,
-    robustness_sweep,
+    homodyne_comparison,  # noqa: F401  (called by its _SWEEP_KINDS name)
+    robustness_sweep,  # noqa: F401  (called by its _SWEEP_KINDS name)
     squeezing_table,
-    sweep_displacement,
-    sweep_gain,
+    sweep_displacement,  # noqa: F401  (called by its _SWEEP_KINDS name)
+    sweep_gain,  # noqa: F401  (called by its _SWEEP_KINDS name)
     validate_scale,
 )
 from .hist import fidelity

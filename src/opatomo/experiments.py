@@ -58,7 +58,7 @@ from .reconstruct import (  # noqa: F401
     near_zero_fraction,
     standard_reconstruct,
 )
-from .states import preset
+from .states import PRESETS, preset
 from .streams import derive_seed
 
 __all__ = [
@@ -149,7 +149,9 @@ class SweepSpec:
                                              "point; sweeps score one-batch methods only")
             if self.methods.count(method) > 1:
                 raise ConfigError("methods", f"{method!r} is listed twice")
-        preset(self.state)  # raises on unknown preset
+        if self.state not in PRESETS:
+            raise ConfigError("state",
+                              f"unknown preset {self.state!r}; known: {', '.join(PRESETS)}")
 
     def canonical_json(self) -> str:
         payload = asdict(self)
@@ -307,6 +309,8 @@ def sweep_displacement(spec: SweepSpec) -> SweepResult:
     estimator has no displacement knob, so it runs at d = 0 and its
     (mean, std) row is replicated across the grid as a flat reference.
     """
+    if spec.param != "displacement":
+        raise ConfigError("param", f"must be 'displacement', got {spec.param!r}")
     rows = _sweep(spec)
     summary: dict = {}
     disp = [r for r in rows if r.method == "displaced"]
@@ -354,6 +358,8 @@ def _saturation_summary(rows: list[SweepRow]) -> dict:
 
 def sweep_gain(spec: SweepSpec) -> SweepResult:
     """Infidelity as a function of the amplification exponent."""
+    if spec.param != "gain":
+        raise ConfigError("param", f"must be 'gain', got {spec.param!r}")
     rows = _sweep(spec)
     return SweepResult(spec, rows, _saturation_summary(rows))
 

@@ -26,7 +26,6 @@ __all__ = [
     "grid_bins",
     "bin_values",
     "fidelity",
-    "fidelity_from_masses",
     "analytic_bins",
     "analytic_point_density",
 ]
@@ -62,17 +61,16 @@ def grid_bins(bin_width: float, lo: float, hi: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class QuadratureHistogram:
-    """Integer counts on a uniform grid starting at `origin`.
+    """Integer counts on a uniform grid starting at `origin`, and the
+    overflow: the values offered to the binning that fell off the grid.
 
-    n_total is the number of values offered to the binning, so
-    sum(counts) + overflow == n_total and relative frequencies are
-    counts / n_total.
+    Their sum is n_total, the number of values offered, and relative
+    frequencies are counts / n_total.
     """
 
     bin_width: float
     origin: float
     counts: np.ndarray
-    n_total: int
     overflow: int = 0
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class QuadratureHistogram:
             raise ValueError("counts must be non-negative")
         if self.overflow < 0:
             raise ValueError("overflow must be non-negative")
-        if counts.sum() + self.overflow != self.n_total:
-            raise ValueError("counts + overflow must equal n_total")
 
     def __add__(self, other: QuadratureHistogram) -> QuadratureHistogram:
         """The histogram of both value sets, which must be binned on one grid."""
@@ -94,8 +90,11 @@ class QuadratureHistogram:
                                                           other.n_bins):
             raise ValueError("histograms on different grids cannot be added")
         return QuadratureHistogram(self.bin_width, self.origin, self.counts + other.counts,
-                                   n_total=self.n_total + other.n_total,
                                    overflow=self.overflow + other.overflow)
+
+    @property
+    def n_total(self) -> int:
+        return int(self.counts.sum()) + self.overflow
 
     @property
     def n_bins(self) -> int:
@@ -165,7 +164,6 @@ def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHist
         bin_width=bin_width,
         origin=lo,
         counts=counts[:n_bins],
-        n_total=values.size,
         overflow=int(counts[n_bins]),
     )
 
@@ -178,21 +176,15 @@ def _bin_probabilities(state: SourceState, edges: bytes) -> np.ndarray:
     return p
 
 
-def fidelity_from_masses(
-    centers: np.ndarray, masses: np.ndarray, bin_width: float, state: SourceState
-) -> float:
-    """Bhattacharyya-squared overlap of binned masses with a state's marginal."""
-    centers = np.asarray(centers, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    edges = np.concatenate((centers - 0.5 * bin_width, centers[-1:] + 0.5 * bin_width))
-    p = _bin_probabilities(state, edges.tobytes())
-    bc = float(np.sqrt(np.maximum(masses, 0.0) * p).sum())
-    return bc * bc
-
-
 def fidelity(estimate: QuadratureHistogram | DensityEstimate, state: SourceState) -> float:
-    """F = (sum_i sqrt(nu_i p_i))^2 over the estimate's own grid."""
-    return fidelity_from_masses(estimate.centers, estimate.masses, estimate.bin_width, state)
+    """F = (sum_i sqrt(nu_i p_i))^2 over the estimate's own grid: the
+    Bhattacharyya-squared overlap of its masses with the state's marginal."""
+    half = 0.5 * estimate.bin_width
+    centers = estimate.centers
+    edges = np.concatenate((centers - half, centers[-1:] + half))
+    p = _bin_probabilities(state, edges.tobytes())
+    bc = float(np.sqrt(np.maximum(estimate.masses, 0.0) * p).sum())
+    return bc * bc
 
 
 def analytic_bins(state: SourceState, bin_width: float, lo: float, hi: float) -> DensityEstimate:

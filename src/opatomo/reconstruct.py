@@ -20,6 +20,7 @@ fluctuations are physical noise the estimator cannot observe.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "PositivityViolation",
     "DegenerateSupport",
     "InconsistentBinning",
-    "noise_equivalent_std",
     "fold_displacement",
     "invert_intensity",
     "invert_homodyne",
@@ -128,20 +128,17 @@ def _intensity_scale(params: ChainParams) -> float:
     return math.exp(2.0 * params.gain) * params.input_transmittance * params.output_transmittance
 
 
-def noise_equivalent_std(params: ChainParams) -> float:
-    """Quadrature scale below which an inverted intensity outcome is noise.
+def near_zero_cut(params: ChainParams) -> float:
+    """Fold-coordinate distance below which an outcome's sign is ambiguous.
 
     Near the fold point the photon number fluctuates by roughly the
     post-amplification noise std, so the inverted coordinate fluctuates by
-    the square root of that noise over the amplification scale.
+    the noise-equivalent std sqrt(output_noise / scale); the cut is
+    NEAR_ZERO_SIGMAS of it.
     """
     scale = _intensity_scale(params)
-    return math.sqrt(params.output_noise / scale) if params.output_noise > 0.0 else 0.0
-
-
-def near_zero_cut(params: ChainParams) -> float:
-    """Fold-coordinate distance below which an outcome's sign is ambiguous."""
-    return NEAR_ZERO_SIGMAS * noise_equivalent_std(params)
+    std = math.sqrt(params.output_noise / scale) if params.output_noise > 0.0 else 0.0
+    return NEAR_ZERO_SIGMAS * std
 
 
 def fold_displacement(params: ChainParams) -> float:
@@ -231,13 +228,8 @@ def standard_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistog
     grid_bins(bin_width, -top, top)  # the mirrored grid obeys the bin cap too
     half = _bin_in_chunks(batch, bin_width, 0.0, GRID_HALF_WIDTH)
     counts = np.concatenate([half.counts[::-1], half.counts])
-    return QuadratureHistogram(
-        bin_width=bin_width,
-        origin=-top,
-        counts=counts,
-        n_total=2 * half.n_total,
-        overflow=2 * half.overflow,
-    )
+    return QuadratureHistogram(bin_width=bin_width, origin=-top, counts=counts,
+                               overflow=2 * half.overflow)
 
 
 def displaced_reconstruct(batch: ShotBatch, bin_width: float) -> QuadratureHistogram:
@@ -364,7 +356,7 @@ def double_displacement_reconstruct(
     """
     check_method("double", batch_a.params)
     check_method("double", batch_b.params)
-    if batch_a.params.chain_key() != batch_b.params.chain_key():
+    if replace(batch_a.params, displacement=0.0) != replace(batch_b.params, displacement=0.0):
         raise InconsistentBinning(
             "batches disagree on nominal chain parameters and cannot share a grid"
         )

@@ -294,51 +294,30 @@ class SourceState:
 
 # -- preset catalogue ------------------------------------------------------
 
-def _sq() -> SourceState:
-    return SourceState.gaussian([GaussianComponent(1.0, squeezing=1.0)], label="sq")
-
-
-def _sq_disp() -> SourceState:
-    return SourceState.gaussian(
-        [GaussianComponent(1.0, mean_x=0.2, squeezing=1.0)], label="sq_disp"
-    )
-
-
-def _mix() -> SourceState:
-    return SourceState.gaussian(
-        [
-            GaussianComponent(0.5, squeezing=2.0),
-            GaussianComponent(0.5, squeezing=1.0),
-        ],
-        label="mix",
-    )
-
-
-def _mix_disp() -> SourceState:
-    return SourceState.gaussian(
-        [
-            GaussianComponent(0.5, mean_x=0.2, squeezing=2.0),
-            GaussianComponent(0.5, mean_x=-0.2, squeezing=1.0),
-        ],
-        label="mix_disp",
-    )
-
-
-PRESETS: dict[str, tuple[str, object]] = {
-    "vac": ("vacuum reference", lambda: SourceState.gaussian([GaussianComponent(1.0)], label="vac")),
-    "sq": ("squeezed state, g=1", _sq),
-    "sq_disp": ("displaced squeezed state, g=1, mean_x=0.2", _sq_disp),
-    "mix": ("50/50 mixture of g=2 and g=1 squeezed states", _mix),
-    "mix_disp": ("the same mixture displaced by +0.2 / -0.2", _mix_disp),
-    "fock1": ("single-photon state", lambda: SourceState.fock(1, label="fock1")),
-    "fock2": ("two-photon state", lambda: SourceState.fock(2, label="fock2")),
-    "fock4": ("four-photon state", lambda: SourceState.fock(4, label="fock4")),
+# Name -> (description, state).  The states are frozen, so every caller of
+# ``preset`` shares one value.
+PRESETS: dict[str, tuple[str, SourceState]] = {
+    "vac": ("vacuum reference", SourceState.gaussian([GaussianComponent(1.0)], label="vac")),
+    "sq": ("squeezed state, g=1",
+           SourceState.gaussian([GaussianComponent(1.0, squeezing=1.0)], label="sq")),
+    "sq_disp": ("displaced squeezed state, g=1, mean_x=0.2",
+                SourceState.gaussian([GaussianComponent(1.0, mean_x=0.2, squeezing=1.0)],
+                                     label="sq_disp")),
+    "mix": ("50/50 mixture of g=2 and g=1 squeezed states",
+            SourceState.gaussian([GaussianComponent(0.5, squeezing=2.0),
+                                  GaussianComponent(0.5, squeezing=1.0)], label="mix")),
+    "mix_disp": ("the same mixture displaced by +0.2 / -0.2",
+                 SourceState.gaussian([GaussianComponent(0.5, mean_x=0.2, squeezing=2.0),
+                                       GaussianComponent(0.5, mean_x=-0.2, squeezing=1.0)],
+                                      label="mix_disp")),
+    "fock1": ("single-photon state", SourceState.fock(1, label="fock1")),
+    "fock2": ("two-photon state", SourceState.fock(2, label="fock2")),
+    "fock4": ("four-photon state", SourceState.fock(4, label="fock4")),
 }
 
 
 def preset(name: str) -> SourceState:
     try:
-        return PRESETS[name][1]()
+        return PRESETS[name][1]
     except KeyError:
         raise KeyError(f"unknown state preset {name!r}; known: {', '.join(PRESETS)}") from None
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 # numpy 2 loads numpy.random on first use; load it with the package instead.
-import numpy.random
+import numpy.random  # noqa: F401
 
 __all__ = ["stream", "derive_seed"]
 

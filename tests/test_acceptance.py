@@ -262,8 +262,7 @@ def test_sampling_floor_matches_multinomial_oracle(name):
     for _ in range(256):
         draw = rng.multinomial(N_SHOTS, cells / cells.sum())
         hist = QuadratureHistogram(
-            bin_width=bin_width, origin=lo, counts=draw[:-1],
-            n_total=N_SHOTS, overflow=int(draw[-1]),
+            bin_width=bin_width, origin=lo, counts=draw[:-1], overflow=int(draw[-1]),
         )
         infs.append(1.0 - fidelity(hist, state))
     oracle = float(np.mean(infs))

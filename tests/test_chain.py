@@ -321,15 +321,6 @@ def test_homodyne_detector_validation():
     assert err.value.field == "detector.efficiency"
 
 
-def test_chain_key_ignores_displacement():
-    a = ChainParams()
-    b = replace(a, displacement=250.0)
-    assert a.chain_key() == b.chain_key()
-    assert b.displacement == 250.0
-    c = ChainParams(gain=3.0)
-    assert a.chain_key() != c.chain_key()
-
-
 def test_params_dict_round_trip():
     for params in (
         ChainParams(displacement=17.0),

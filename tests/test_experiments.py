@@ -69,8 +69,12 @@ def test_spec_validation():
         small_spec(repeats=0).validate()
     with pytest.raises(ValueError):
         small_spec(n_shots=0).validate()
-    with pytest.raises(KeyError):
+
+
+def test_spec_refuses_an_unknown_state_as_a_config_error():
+    with pytest.raises(ConfigError, match="^state: unknown preset 'nope'; known: vac, sq,") as info:
         small_spec(state="nope").validate()
+    assert info.value.field == "state"
 
 
 def test_spec_rejects_non_positive_bin_width():
@@ -184,6 +188,19 @@ def test_saturation_gain_hand_case():
 
 
 # -- robustness ------------------------------------------------------------------
+
+@pytest.mark.parametrize("sweep,param", [(sweep_displacement, "gain"),
+                                         (sweep_gain, "output_noise"),
+                                         (sweep_gain, "displacement")])
+def test_grid_sweeps_refuse_a_foreign_param_before_drawing(monkeypatch, sweep, param):
+    # Each grid sweep names its own axis in its summary, so a spec that
+    # sweeps another field is refused, not reported under the wrong name.
+    calls = _count_source_draws(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^param: must be '.+', got '{param}'") as info:
+        sweep(small_spec(methods=("displaced",), param=param, grid=(1.0, 2.0), repeats=1))
+    assert info.value.field == "param"
+    assert calls == []
+
 
 def test_robustness_rejects_unknown_parameter():
     spec = small_spec(experiment="robustness", param="bin_width", grid=(0.1, 1.0))

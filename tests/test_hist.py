@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import operator
 
@@ -15,7 +16,6 @@ from opatomo.hist import (
     analytic_point_density,
     bin_values,
     fidelity,
-    fidelity_from_masses,
     grid_bins,
 )
 from opatomo.reconstruct import standard_reconstruct
@@ -108,18 +108,30 @@ def test_bin_values_rejects_non_finite_width():
 
 def test_histogram_invariants_enforced():
     with pytest.raises(ValueError):
-        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 1], n_total=3)
+        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[-1, 3])
     with pytest.raises(ValueError):
-        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[-1, 3], n_total=2)
-    with pytest.raises(ValueError):
-        QuadratureHistogram(bin_width=0.0, origin=0.0, counts=[1], n_total=1)
+        QuadratureHistogram(bin_width=0.0, origin=0.0, counts=[1])
+
+
+def test_a_histogram_total_is_derived_not_given():
+    # The total is the counts plus the overflow; there is no second copy to
+    # keep consistent, so a histogram cannot be handed one.
+    assert isinstance(inspect.getattr_static(QuadratureHistogram, "n_total", None), property)
+    with pytest.raises(TypeError):
+        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 1], n_total=2)
+    binned = bin_values([-1.0, 0.02, 0.02, 0.07, 7.0], 0.05, 0.0, 0.1)
+    summed = binned + bin_values([0.06, math.nan], 0.05, 0.0, 0.1)
+    batch = ShotBatch(np.array([0.0, 1.0, 1e9]), ChainParams(), 0, "vac")
+    mirrored = standard_reconstruct(batch, 0.05)
+    for hist, total in ((binned, 5), (summed, 7), (mirrored, 6)):
+        assert hist.n_total == int(hist.counts.sum()) + hist.overflow == total
 
 
 @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
 def test_histograms_refuse_a_non_finite_bin_width(width):
     # Such a width would give NaN or infinite bin centers.
     with pytest.raises(ValueError, match="bin_width must be positive and finite"):
-        QuadratureHistogram(bin_width=width, origin=0.0, counts=[1], n_total=1)
+        QuadratureHistogram(bin_width=width, origin=0.0, counts=[1])
     with pytest.raises(ValueError, match="bin_width must be positive and finite"):
         DensityEstimate(centers=np.zeros(1), masses=np.ones(1), bin_width=width)
 
@@ -128,7 +140,7 @@ def test_histogram_refuses_negative_overflow():
     # counts [1, 2] with overflow -1 would balance n_total = 2 and give
     # masses summing to 1.5.
     with pytest.raises(ValueError, match="overflow must be non-negative"):
-        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 2], n_total=2, overflow=-1)
+        QuadratureHistogram(bin_width=0.05, origin=0.0, counts=[1, 2], overflow=-1)
 
 
 def test_bin_centers():
@@ -286,7 +298,7 @@ def test_fidelity_hand_oracle():
     w = 0.05
     centers = np.array([0.025, 0.075])
     state = _two_spike_state(0.025, 0.075, 0.9)
-    f = fidelity_from_masses(centers, np.array([0.5, 0.5]), w, state)
+    f = fidelity(DensityEstimate(centers, np.array([0.5, 0.5]), w), state)
     assert f == pytest.approx(0.8, abs=1e-9)
 
 
@@ -299,7 +311,7 @@ def test_fidelity_perfect_match():
 def test_fidelity_disjoint_supports():
     state = _two_spike_state(-3.0, 3.0, 0.5)
     centers = np.array([0.025, 0.075])
-    f = fidelity_from_masses(centers, np.array([0.5, 0.5]), 0.05, state)
+    f = fidelity(DensityEstimate(centers, np.array([0.5, 0.5]), 0.05), state)
     assert f < 1e-12
 
 

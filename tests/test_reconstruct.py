@@ -9,7 +9,6 @@ from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityD
 from opatomo.hist import bin_values, fidelity
 from opatomo.reconstruct import (
     METHODS,
-    NEAR_ZERO_SIGMAS,
     POSITIVITY_THRESHOLD,
     DegenerateSupport,
     InconsistentBinning,
@@ -25,7 +24,6 @@ from opatomo.reconstruct import (
     invert_intensity,
     near_zero_cut,
     near_zero_fraction,
-    noise_equivalent_std,
     standard_reconstruct,
     unfold_fold_samples,
 )
@@ -121,16 +119,6 @@ def test_homodyne_reconstruct_requires_homodyne_batch():
 
 
 # -- noise scale / positivity gating ------------------------------------------------
-
-def test_noise_equivalent_std_default_chain():
-    assert noise_equivalent_std(ChainParams()) == pytest.approx(
-        0.40329709503271144 / NEAR_ZERO_SIGMAS, rel=1e-12
-    )
-
-
-def test_noise_equivalent_std_noiseless_is_zero():
-    assert noise_equivalent_std(noiseless()) == 0.0
-
 
 def test_near_zero_cut():
     assert near_zero_cut(ChainParams()) == pytest.approx(0.40329709503271144, rel=1e-12)

@@ -306,6 +306,12 @@ def test_unknown_kind_rejected():
         SourceState(kind="wigner")
 
 
+def test_presets_are_shared_frozen_values():
+    for name in CATALOG:
+        assert preset(name) is preset(name) is PRESETS[name][1]
+        assert preset(name).label == name
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         preset("nope")
