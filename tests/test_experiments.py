@@ -72,7 +72,7 @@ def test_spec_validation():
 
 
 def test_spec_refuses_an_unknown_state_as_a_config_error():
-    with pytest.raises(ConfigError, match="^state: unknown preset 'nope'; known: vac, sq,") as info:
+    with pytest.raises(ConfigError, match="^state: unknown preset 'nope'; known: vac,") as info:
         small_spec(state="nope").validate()
     assert info.value.field == "state"
 

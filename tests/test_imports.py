@@ -23,8 +23,8 @@ def _unused_imports(path: Path) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported: set[str] = set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
             exported = set(ast.literal_eval(node.value))
     unused = []
     for node in ast.walk(tree):
@@ -48,6 +48,9 @@ def test_every_import_is_used_exported_or_marked(path):
 
 def test_the_check_sees_an_unmarked_unused_import(tmp_path):
     module = tmp_path / "probe.py"
-    module.write_text("import os\nimport sys  # noqa: F401 (kept)\nfrom json import (  # noqa: F401\n"
-                      "    dumps,\n)\nfrom math import pi, tau\n__all__ = ['tau']\n")
+    module.write_text("import os\n"
+                      "import sys  # noqa: F401 (kept)\n"
+                      "from json import (  # noqa: F401\n    dumps,\n)\n"
+                      "from math import pi, tau\n"
+                      "__all__ = ['tau']\n")
     assert _unused_imports(module) == ["probe.py:1: os", "probe.py:6: pi"]
