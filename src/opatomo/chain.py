@@ -19,14 +19,15 @@ row order is fixed and documented, so batches are reproducible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 import json
 import math
 import os
 
 import numpy as np
+import orjson
 
-from .states import SourceState
+from .states import ConfigError, SourceState
 from .streams import stream
 
 __all__ = [
@@ -51,16 +52,12 @@ __all__ = [
 # so the chunk size, not the batch size, fixes which draws a shot receives.
 BATCH_CHUNK = 1 << 14
 
+# Batch CSV rows are parsed this many at a time, which bounds the row text
+# held at once.
+_PARSE_ROWS = BATCH_CHUNK // 8
+
 # Lower clip for the per-shot output transmittance; the interval is open at 0.
 _MIN_TRANSMITTANCE = 1e-12
-
-
-class ConfigError(ValueError):
-    """A parameter failed validation; `field` names the offender."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -318,12 +315,11 @@ class BatchFile:
         }
         partial = f"{self.path}.partial"
         try:
-            with open(partial, "w") as fh:
-                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-                fh.write("outcome\n")
+            with open(partial, "wb") as fh:
+                fh.write(("# " + json.dumps(header, sort_keys=True) + "\noutcome\n").encode())
                 for block in blocks:
                     if block.size:
-                        fh.write("\n".join(map(repr, block.tolist())) + "\n")
+                        fh.write(_render_rows(block))
             os.replace(partial, self.path)
         except BaseException:
             if os.path.exists(partial):
@@ -369,26 +365,66 @@ class BatchFile:
         first one that holds a non-finite outcome on, so a caller never
         sees one.
         """
-        rows, finite = 0, True
+        count, finite = 0, True
         with open(self.path) as fh:
             fh.readline()  # the header line
             fh.readline()  # the column line
             lines = filter(str.strip, fh)
-            while True:
-                block = np.fromiter(map(float, islice(lines, BATCH_CHUNK)), dtype=float)
-                if not block.size:
-                    break
-                rows += block.size
+            # Parsed _PARSE_ROWS rows at a time; BATCH_CHUNK is a multiple of
+            # it, so a row is parsed as its own block is read.
+            slices = iter(lambda: list(islice(lines, _PARSE_ROWS)), [])
+            values = chain.from_iterable(map(_parse_rows, slices))
+            while (block := np.fromiter(islice(values, BATCH_CHUNK), dtype=float)).size:
+                count += block.size
                 finite = finite and bool(np.isfinite(block).all())
                 if finite:
                     yield block
-        if self.n_shots < 1 or rows != self.n_shots:
+        if self.n_shots < 1 or count != self.n_shots:
             raise ValueError(
                 f"{self.path}: header says n_shots = {self.n_shots} but the file holds "
-                f"{rows} outcomes"
+                f"{count} outcomes"
             )
         if not finite:
             raise ValueError(f"{self.path}: outcomes must be finite")
+
+
+def _render_rows(block: np.ndarray) -> bytes:
+    """The outcomes of ``block`` as ``repr`` writes them, one per line, each
+    line ended.
+
+    orjson renders a whole float64 block in one call, with the shortest
+    digits that round-trip, as ``repr`` does; its text equals ``repr``'s for
+    ±0.0 and for magnitudes in [1e-4, 1e16).  Outside that range it spells
+    the exponent its own way (``0.00001``, ``1e16``) and writes NaN and
+    ±inf as ``null``, so those rows take ``repr`` instead.
+    """
+    block = np.ascontiguousarray(block, dtype=float)
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    magnitude = np.abs(block)
+    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (block != 0.0))
+    if not other.size:
+        return text.replace(b",", b"\n") + b"\n"
+    rows = text.split(b",")
+    for i in other.tolist():
+        rows[i] = repr(float(block[i])).encode()
+    return b"\n".join(rows) + b"\n"
+
+
+def _parse_rows(rows: list[str]) -> list[float]:
+    """The values of ``rows``, each exactly as ``float(row)`` reads it.
+
+    orjson parses the rows as one JSON array.  Its result stands only if it
+    holds one float per row: rows it refuses, and rows it reads as another
+    type (``-0`` is the int 0, ``true`` a bool), send the whole slice through
+    ``float()``, which also raises for the first row that is no float.
+    """
+    try:
+        values = orjson.loads("[" + ",".join(rows) + "]")
+    except orjson.JSONDecodeError:
+        values = []
+    if len(values) == len(rows) and set(map(type, values)) == {float}:
+        return values
+    return list(map(float, rows))
 
 
 # Standard-normal rows a shot function reads, one value per shot in each:

@@ -85,8 +85,7 @@ class RunConfig:
     params: ChainParams = dataclasses.field(default_factory=ChainParams)
 
     def validate(self) -> None:
-        if self.state not in PRESETS:
-            raise ConfigError("state", f"unknown preset {self.state!r}; see `opatomo presets`")
+        preset(self.state)
         if self.method not in METHODS:
             raise ConfigError("method", f"unknown method {self.method!r}")
         if self.detector not in ("intensity", "homodyne"):
@@ -228,9 +227,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # the estimator bins them.
     batches = [BatchFile.read_header(path) for path in paths]
     batch = batches[0]
-    if batch.state_label not in PRESETS:
-        raise ConfigError("state", f"batch header names unknown preset {batch.state_label!r}; "
-                                   "see `opatomo presets`")
     state = preset(batch.state_label)
 
     if count == 2:

@@ -58,7 +58,7 @@ from .reconstruct import (  # noqa: F401
     near_zero_fraction,
     standard_reconstruct,
 )
-from .states import PRESETS, preset
+from .states import preset
 from .streams import derive_seed
 
 __all__ = [
@@ -149,9 +149,7 @@ class SweepSpec:
                                              "point; sweeps score one-batch methods only")
             if self.methods.count(method) > 1:
                 raise ConfigError("methods", f"{method!r} is listed twice")
-        if self.state not in PRESETS:
-            raise ConfigError("state",
-                              f"unknown preset {self.state!r}; known: {', '.join(PRESETS)}")
+        preset(self.state)
 
     def canonical_json(self) -> str:
         payload = asdict(self)

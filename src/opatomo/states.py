@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "VACUUM_VARIANCE",
     "MAX_FOCK",
     "GaussianComponent",
@@ -31,6 +32,14 @@ MAX_FOCK = 20
 
 # Inverse-CDF sampling uses linear interpolation on this many grid nodes.
 _SAMPLE_GRID = 1 << 14
+
+
+class ConfigError(ValueError):
+    """A parameter failed validation; `field` names the offender."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"{field_name}: {message}")
+        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -320,4 +329,5 @@ def preset(name: str) -> SourceState:
     try:
         return PRESETS[name][1]
     except KeyError:
-        raise KeyError(f"unknown state preset {name!r}; known: {', '.join(PRESETS)}") from None
+        raise ConfigError("state",
+                          f"unknown preset {name!r}; known: {', '.join(PRESETS)}") from None

@@ -1,6 +1,10 @@
+import decimal
+from decimal import Decimal
+import json
 import math
 from dataclasses import asdict, fields, replace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -288,6 +292,116 @@ def test_batch_csv_rejects_garbage(tmp_path):
     path.write_text("outcome\n1.0\n")
     with pytest.raises(ValueError):
         ShotBatch.from_csv(path)
+
+
+# -- batch CSV rows: the writer renders as repr, the reader parses as float ---
+
+CSV_CASES = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def _powers_of_ten_and_neighbours() -> list[float]:
+    values = []
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, math.inf)]
+    return [float(v) for v in values]
+
+
+# Values whose rendering differs between orjson and repr, and their edges:
+# zeros, subnormals, [1e-5, 1e-4), every 10^k and its neighbouring doubles,
+# magnitudes from 1e16 up, and the non-finite values.
+_RENDER_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308, allow_subnormal=True),
+    st.floats(min_value=1e-5, max_value=1e-4, exclude_max=True),
+    st.sampled_from(_powers_of_ten_and_neighbours()),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(),
+)
+_SIGNED = st.builds(lambda v, negate: -v if negate else v, _RENDER_EDGES, st.booleans())
+
+
+def _written_rows(path, blocks) -> list[str]:
+    n_shots = sum(block.size for block in blocks)
+    BatchFile(path, ChainParams(), n_shots, 0).write(iter(blocks))
+    return path.read_text().splitlines()[2:]
+
+
+@CSV_CASES
+@given(values=st.lists(_SIGNED, min_size=1, max_size=80), cut=st.integers(0, 80))
+def test_batch_rows_are_written_as_repr(tmp_path_factory, values, cut):
+    block = np.array(values, dtype=float)
+    rows = _written_rows(tmp_path_factory.mktemp("rows") / "b.csv", [block[:cut], block[cut:]])
+    assert rows == [repr(v) for v in block.tolist()]
+
+
+def test_batch_rows_are_written_as_repr_on_every_bit_pattern_class(tmp_path):
+    rng = stream(5, 0)
+    bits = rng.integers(0, 1 << 64, size=100_000, dtype=np.uint64).view(float)
+    spread = rng.uniform(-330.0, 308.0, size=100_000)
+    block = np.concatenate([bits, 10.0 ** spread, -(10.0 ** spread),
+                            np.array(_powers_of_ten_and_neighbours())])
+    assert _written_rows(tmp_path / "b.csv", [block]) == [repr(v) for v in block.tolist()]
+
+
+def _midpoint(a: float) -> str:
+    """The exact decimal midpoint between ``a`` and the next double up."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        return str((Decimal(a) + Decimal(float(np.nextafter(a, math.inf)))) / 2)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OVERFLOW_TIE = 2**1024 - 2**970  # halfway from the largest double to 2^1024
+# Texts JSON reads as floats: each has a fraction or an exponent.
+_JSON_FLOAT_TEXT = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda v: f"{v:.40e}"),
+    _FINITE.map(lambda v: f"{v:.3E}"),
+    _FINITE.filter(lambda v: abs(v) < 1e300).map(_midpoint).filter(lambda s: "." in s),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,25})\.[0-9]{1,45}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from([f"{_OVERFLOW_TIE - 1}.0", f"{_OVERFLOW_TIE}.0", f"{_OVERFLOW_TIE + 1}.0",
+                     "2.4703282292062327e-324", "2.4703282292062328e-324", "-1e-400"]),
+)
+# Rows orjson refuses or reads as another type, so float() reads them.
+FALLBACK_ROWS = ["-0", "true", "1_0", "１２", "+5", ".5", "nan", "1e400", '"1.5"']
+_OTHER_ROW = st.one_of(st.sampled_from(FALLBACK_ROWS), st.integers(-10**30, 10**30).map(str))
+
+
+def _read_like_float(path, rows: list[str]):
+    """Write ``rows`` as a batch file and read it back; compare what the
+    reader yields or refuses with ``float`` on each row."""
+    path.write_text("# " + json.dumps({"chain": {}, "n_shots": len(rows), "seed": 0})
+                    + "\noutcome\n" + "".join(row + "\n" for row in rows))
+    try:
+        expected = np.array([float(row + "\n") for row in rows])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            list(BatchFile.read_header(path).blocks())
+        assert str(info.value) == str(exc)
+        return
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            list(BatchFile.read_header(path).blocks())
+        return
+    read = np.concatenate(list(BatchFile.read_header(path).blocks()))
+    assert read.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@CSV_CASES
+@given(rows=st.lists(st.one_of(_JSON_FLOAT_TEXT, _JSON_FLOAT_TEXT.map(lambda s: f" {s}\t")),
+                     min_size=1, max_size=40),
+       other=st.none() | _OTHER_ROW, at=st.integers(0, 40))
+def test_batch_rows_are_read_as_float_reads_them(tmp_path_factory, rows, other, at):
+    if other is not None:
+        rows.insert(at, other)
+    _read_like_float(tmp_path_factory.mktemp("rows") / "b.csv", rows)
+
+
+@pytest.mark.parametrize("row", FALLBACK_ROWS)
+def test_rows_orjson_does_not_read_as_a_float_are_read_by_float(tmp_path, row):
+    ordinary = [repr(v) for v in stream(1, 0).normal(0.0, 50.0, 2 * BATCH_CHUNK).tolist()]
+    rows = [*ordinary[:BATCH_CHUNK + 7], row, *ordinary[BATCH_CHUNK + 7:]]
+    _read_like_float(tmp_path / "b.csv", rows)
 
 
 # -- parameter validation ------------------------------------------------------

@@ -34,7 +34,7 @@ from opatomo.reconstruct import (
     homodyne_reconstruct,
     standard_reconstruct,
 )
-from opatomo.states import SourceState, preset
+from opatomo.states import PRESETS, SourceState, preset
 
 
 def run_cli(capsys, *argv):
@@ -216,7 +216,7 @@ def test_unknown_state_exits_with_config_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--out-dir", str(tmp_path),
                            "--state", "squeezed")
     assert code == EXIT_CONFIG
-    assert "state" in err
+    assert err == f"error: state: unknown preset 'squeezed'; known: {', '.join(PRESETS)}\n"
 
 
 def test_reconstruct_displaced_reports_fidelity(capsys, tmp_path):
@@ -466,7 +466,7 @@ MULTI_FAULTS = {
                            "lacks seed"),
     "unknown-state-before-rows": (
         [(_SQ_100, lambda meta: {**meta, "state": "squeezed"}, _BAD_LAST_ROW)], "displaced", [],
-        "state: batch header names unknown preset 'squeezed'"),
+        "state: unknown preset 'squeezed'; known: vac,"),
     "method-before-rows": ([(_SQ_100, None, _BAD_LAST_ROW)], "standard", [],
                            "method: standard needs a batch taken at zero displacement"),
     "bin-cap-before-rows": ([(_SQ_100, None, _BAD_LAST_ROW)], "displaced",

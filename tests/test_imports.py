@@ -1,19 +1,25 @@
-"""Every name a module of the package imports is used, exported or marked.
+"""Every name a module of the package imports is used, exported or marked,
+and every third-party module it imports is a declared dependency.
 
 A name counts as used when the module reads it anywhere (``ast.Name``), as
 exported when it is in the module's ``__all__``, and as marked when
 ``# noqa: F401`` stands on its own line or on its ``from ... import (``
-line; a mark says why the import stays.
+line; a mark says why the import stays.  The third-party modules the package
+imports and the ``[project].dependencies`` of ``pyproject.toml`` must be the
+same set.
 """
 
 import ast
 from pathlib import Path
+import re
+import sys
 
 import pytest
 
 import opatomo
 
 MODULES = sorted(Path(opatomo.__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -54,3 +60,34 @@ def test_the_check_sees_an_unmarked_unused_import(tmp_path):
                       "from math import pi, tau\n"
                       "__all__ = ['tau']\n")
     assert _unused_imports(module) == ["probe.py:1: os", "probe.py:6: pi"]
+
+
+def _dependency_mismatch(paths, pyproject: Path) -> tuple[list[str], list[str]]:
+    """The third-party top-level modules ``paths`` import that ``pyproject``
+    does not declare, and the declared dependencies none of them imports."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= {*sys.stdlib_module_names, "opatomo"}
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    return sorted(imported - declared), sorted(declared - imported)
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    assert _dependency_mismatch(MODULES, PYPROJECT) == ([], [])
+
+
+def test_the_check_sees_an_undeclared_and_an_unused_dependency(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("import json\nimport numpy as np\nfrom orjson import dumps\n"
+                      "from . import chain\nfrom opatomo.states import preset\n")
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project]\ndependencies = ["numpy>=1.24", "scipy>=1.10"]\n')
+    assert _dependency_mismatch([module], pyproject) == (["orjson"], ["scipy"])

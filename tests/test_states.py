@@ -10,6 +10,7 @@ from opatomo.hist import bin_values, fidelity
 from opatomo.states import (
     MAX_FOCK,
     VACUUM_VARIANCE,
+    ConfigError,
     GaussianComponent,
     PRESETS,
     SourceState,
@@ -313,8 +314,9 @@ def test_presets_are_shared_frozen_values():
 
 
 def test_unknown_preset():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="^state: unknown preset 'nope'; known: vac,") as info:
         preset("nope")
+    assert info.value.field == "state"
 
 
 def test_gaussian_1d_builds_requested_variance():
