@@ -18,7 +18,9 @@ row order is fixed and documented, so batches are reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+import io
 from itertools import chain, islice
 import json
 import math
@@ -52,9 +54,9 @@ __all__ = [
 # so the chunk size, not the batch size, fixes which draws a shot receives.
 BATCH_CHUNK = 1 << 14
 
-# Batch CSV rows are parsed this many at a time, which bounds the row text
-# held at once.
-_PARSE_ROWS = BATCH_CHUNK // 8
+# Batch CSV text is read this many characters at a time, which bounds the
+# row text held at once (a row longer than this is held whole).
+_PIECE_CHARS = 1 << 13
 
 # Lower clip for the per-shot output transmittance; the interval is open at 0.
 _MIN_TRANSMITTANCE = 1e-12
@@ -329,7 +331,7 @@ class BatchFile:
     @staticmethod
     def read_header(path) -> "BatchFile":
         """The checked header of the batch file at ``path``; no row is read."""
-        with open(path) as fh:
+        with _batch_text(path) as fh:
             first = fh.readline()
             if not first.startswith("# "):
                 raise ValueError(f"{path}: missing batch header line")
@@ -366,14 +368,10 @@ class BatchFile:
         sees one.
         """
         count, finite = 0, True
-        with open(self.path) as fh:
+        with _batch_text(self.path) as fh:
             fh.readline()  # the header line
             fh.readline()  # the column line
-            lines = filter(str.strip, fh)
-            # Parsed _PARSE_ROWS rows at a time; BATCH_CHUNK is a multiple of
-            # it, so a row is parsed as its own block is read.
-            slices = iter(lambda: list(islice(lines, _PARSE_ROWS)), [])
-            values = chain.from_iterable(map(_parse_rows, slices))
+            values = chain.from_iterable(_row_values(fh))
             while (block := np.fromiter(islice(values, BATCH_CHUNK), dtype=float)).size:
                 count += block.size
                 finite = finite and bool(np.isfinite(block).all())
@@ -410,21 +408,36 @@ def _render_rows(block: np.ndarray) -> bytes:
     return b"\n".join(rows) + b"\n"
 
 
-def _parse_rows(rows: list[str]) -> list[float]:
-    """The values of ``rows``, each exactly as ``float(row)`` reads it.
-
-    orjson parses the rows as one JSON array.  Its result stands only if it
-    holds one float per row: rows it refuses, and rows it reads as another
-    type (``-0`` is the int 0, ``true`` a bool), send the whole slice through
-    ``float()``, which also raises for the first row that is no float.
-    """
+@contextmanager
+def _batch_text(path):
+    """``path`` opened as text; a byte that does not decode is refused as a
+    ValueError that names the file."""
     try:
-        values = orjson.loads("[" + ",".join(rows) + "]")
-    except orjson.JSONDecodeError:
-        values = []
-    if len(values) == len(rows) and set(map(type, values)) == {float}:
-        return values
-    return list(map(float, rows))
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _row_values(fh):
+    """The values of the non-blank rows left in ``fh``, one iterable per
+    piece of whole lines read _PIECE_CHARS characters at a time.
+
+    orjson reads a piece as one array, each line break a comma; the result
+    stands if it holds one float per line, which a blank line or a comma in a
+    row rules out.  Any other piece is read lazily as file iteration reads
+    it: blank lines skipped, ``float()`` on each row, line break kept.
+    """
+    rest, text = "", None
+    while text != "":
+        text = fh.read(_PIECE_CHARS)
+        body, end, rest = (rest + text).rpartition("\n") if text else (rest, "", "")
+        try:
+            values = orjson.loads("[" + body.replace("\n", ",") + "]")
+        except orjson.JSONDecodeError:
+            values = []
+        fast = len(values) == body.count("\n") + 1 and set(map(type, values)) == {float}
+        yield values if fast else map(float, filter(str.strip, io.StringIO(body + end)))
 
 
 # Standard-normal rows a shot function reads, one value per shot in each:

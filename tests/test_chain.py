@@ -4,10 +4,12 @@ import json
 import math
 from dataclasses import asdict, fields, replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from batch_helpers import reference_blocks
+from opatomo import chain
 from opatomo.chain import (
     BATCH_CHUNK,
     CHAIN_NORMALS,
@@ -402,6 +404,73 @@ def test_rows_orjson_does_not_read_as_a_float_are_read_by_float(tmp_path, row):
     ordinary = [repr(v) for v in stream(1, 0).normal(0.0, 50.0, 2 * BATCH_CHUNK).tolist()]
     rows = [*ordinary[:BATCH_CHUNK + 7], row, *ordinary[BATCH_CHUNK + 7:]]
     _read_like_float(tmp_path / "b.csv", rows)
+
+
+# -- batch CSV rows: the piece reader reads as file iteration does -------------
+
+_BLANK_ROW = st.sampled_from(["", " ", "\x0c", "\u2028"])
+_RAGGED_ROW = st.one_of(_JSON_FLOAT_TEXT, _JSON_FLOAT_TEXT, _BLANK_ROW,
+                        st.sampled_from([*FALLBACK_ROWS, "1.0,2.0", "[1.0]"]))
+# Rows longer than a piece at the default piece size.
+_LONG_ROW = st.sampled_from([" " * 9000 + "1.5", "1." + "0" * 9000 + "1", "x" * 9000])
+
+
+def _read_outcome(blocks):
+    """The size and bits of each block ``blocks`` yields, and the type and
+    message of its refusal, if any."""
+    seen = []
+    try:
+        for block in blocks:
+            seen.append((block.size, block.tobytes()))
+    except ValueError as exc:
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
+@CSV_CASES
+@given(rows=st.lists(_RAGGED_ROW, max_size=40), blank_tail=st.lists(_BLANK_ROW, max_size=3),
+       long_row=st.none() | st.tuples(_LONG_ROW, st.integers(0, 40)),
+       line_end=st.sampled_from(["\n", "\r\n", "\r"]), ended=st.booleans(),
+       piece=st.sampled_from([7, 64, None]), chunk=st.sampled_from([3, None]),
+       miscount=st.sampled_from([0, 0, 1, -1]))
+@example(rows=["1.0,2.0"], blank_tail=[""], long_row=None, line_end="\n", ended=True,
+         piece=None, chunk=None, miscount=0)
+@example(rows=["0.0", "0.0", "0.0", "true"], blank_tail=[], long_row=None, line_end="\n",
+         ended=True, piece=None, chunk=3, miscount=0)
+def test_batch_rows_are_read_as_file_iteration_reads_them(
+        tmp_path_factory, rows, blank_tail, long_row, line_end, ended, piece, chunk, miscount):
+    if long_row is not None:
+        rows.insert(long_row[1], long_row[0])
+    rows += blank_tail
+    path = tmp_path_factory.mktemp("rows") / "b.csv"
+    path.write_text(line_end.join(["# {}", "outcome", *rows]) + (line_end if ended else ""),
+                    newline="")
+    n_shots = sum(1 for row in rows if row.strip()) + miscount
+    with pytest.MonkeyPatch.context() as patch:
+        if piece is not None:
+            patch.setattr(chain, "_PIECE_CHARS", piece)
+        if chunk is not None:
+            patch.setattr(chain, "BATCH_CHUNK", chunk)
+        read = _read_outcome(BatchFile(path, ChainParams(), n_shots, 0).blocks())
+        assert read == _read_outcome(reference_blocks(path, n_shots))
+
+
+@pytest.mark.parametrize("piece", [None, 1 << 20])
+def test_a_row_that_does_not_parse_is_refused_only_as_its_block_is_read(tmp_path, piece,
+                                                                         monkeypatch):
+    # The bad row opens the second block; a piece of 1 MiB holds the whole
+    # file, so the first block comes out of the piece that holds the bad row.
+    if piece is not None:
+        monkeypatch.setattr(chain, "_PIECE_CHARS", piece)
+    rows = [repr(v) for v in stream(2, 0).normal(0.0, 50.0, 2 * BATCH_CHUNK).tolist()]
+    rows[BATCH_CHUNK] = "x"
+    path = tmp_path / "b.csv"
+    path.write_text("\n".join(["# {}", "outcome", "", *rows]) + "\n")
+    blocks = BatchFile(path, ChainParams(), len(rows), 0).blocks()
+    first = next(blocks)
+    assert first.tolist() == [float(row) for row in rows[:BATCH_CHUNK]]
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'x\\n'$"):
+        next(blocks)
 
 
 # -- parameter validation ------------------------------------------------------

@@ -584,6 +584,32 @@ def test_reconstruct_refuses_a_deeply_nested_header(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["batch.csv"]
 
 
+@pytest.mark.parametrize("flag", ["--batch", "--batch2"])
+@pytest.mark.parametrize("at", ["header", "row"])
+def test_reconstruct_names_the_file_that_holds_a_byte_that_does_not_decode(capsys, tmp_path,
+                                                                           flag, at):
+    # 4,000 rows fill more than the 8 KiB the header read decodes, so a bad
+    # byte in the last row is met by the row reader, not the header read.
+    paths = [simulate(capsys, tmp_path / f"batch{i}", "--state", "mix", "--displacement", d,
+                      "--n-shots", "4000", "--seed", str(i))
+             for i, d in enumerate(("33", "66"))]
+    bad = paths[flag == "--batch2"]
+    with open(bad, "rb") as fh:
+        data = fh.read()
+    cut = data.index(b"\n") - 1 if at == "header" else len(data) - 3
+    with open(bad, "wb") as fh:
+        fh.write(data[:cut] + b"\xff" + data[cut:])
+    if at == "row":
+        BatchFile.read_header(bad)
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", paths[0], "--batch2", paths[1],
+                           "--method", "double", "--bin-width", "0.2",
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_refuses_a_bin_width_beyond_the_bin_cap(capsys, tmp_path):
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "100",
                      "--n-shots", "200")
