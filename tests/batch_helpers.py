@@ -12,10 +12,12 @@ from opatomo import chain
 def reference_blocks(path, n_shots: int):
     count, finite = 0, True
     with open(path) as fh:
-        fh.readline(), fh.readline()  # the header and column lines
+        fh.readline()  # the header line
+        fh.readline()  # the column line
         values = map(float, filter(str.strip, fh))
         while (block := np.fromiter(islice(values, chain.BATCH_CHUNK), dtype=float)).size:
-            count, finite = count + block.size, finite and bool(np.isfinite(block).all())
+            count += block.size
+            finite = finite and bool(np.isfinite(block).all())
             if finite:
                 yield block
     if n_shots < 1 or count != n_shots:

@@ -409,6 +409,7 @@ def test_rows_orjson_does_not_read_as_a_float_are_read_by_float(tmp_path, row):
 # -- batch CSV rows: the piece reader reads as file iteration does -------------
 
 _BLANK_ROW = st.sampled_from(["", " ", "\x0c", "\u2028"])
+# Float texts are listed twice, so most pieces can take the orjson path.
 _RAGGED_ROW = st.one_of(_JSON_FLOAT_TEXT, _JSON_FLOAT_TEXT, _BLANK_ROW,
                         st.sampled_from([*FALLBACK_ROWS, "1.0,2.0", "[1.0]"]))
 # Rows longer than a piece at the default piece size.
