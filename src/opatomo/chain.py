@@ -331,7 +331,7 @@ class BatchFile:
     @staticmethod
     def read_header(path) -> "BatchFile":
         """The checked header of the batch file at ``path``; no row is read."""
-        with _batch_text(path) as fh:
+        with utf8_text(path) as fh:
             first = fh.readline()
             if not first.startswith("# "):
                 raise ValueError(f"{path}: missing batch header line")
@@ -368,7 +368,7 @@ class BatchFile:
         sees one.
         """
         count, finite = 0, True
-        with _batch_text(self.path) as fh:
+        with utf8_text(self.path) as fh:
             fh.readline()  # the header line
             fh.readline()  # the column line
             values = chain.from_iterable(_row_values(fh))
@@ -409,11 +409,12 @@ def _render_rows(block: np.ndarray) -> bytes:
 
 
 @contextmanager
-def _batch_text(path):
-    """``path`` opened as text; a byte that does not decode is refused as a
-    ValueError that names the file."""
+def utf8_text(path):
+    """``path`` opened as UTF-8 text, whatever the locale; a byte that does
+    not decode is refused as a ValueError that names the file.  Batch and
+    config files are read through it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -30,6 +30,7 @@ from .chain import (
     ShotBatch,
     batch_chunks,
     run_batch,  # noqa: F401  (uncalled; bench/tracer.py wraps this binding)
+    utf8_text,
 )
 from .experiments import (
     DEFAULT_DISPLACEMENT_GRID,
@@ -143,7 +144,7 @@ def build_config(args: argparse.Namespace, refused: dict[str, str],
     """
     lines = []
     if args.config:
-        with open(args.config) as fh:
+        with utf8_text(args.config) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if line:

@@ -234,8 +234,12 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     hists = [None] * len(pairs)
     near_zero = [0] * len(pairs)
     for index, count in enumerate(chunk_sizes(n_shots)):
-        draws = draw_chunk(state, seed, index, count)
+        # The last chunk's terms are freed before this chunk is drawn, so two
+        # chunks' terms are never held at once.  The draws keep their
+        # lifetime: freeing them first too makes glibc trim and re-fault the
+        # heap on every chunk.
         cache: dict = {}
+        draws = draw_chunk(state, seed, index, count)
         for k, (params, method) in enumerate(pairs):
             batch = ShotBatch(apply_chunk(draws, params, cache), params, seed, state.label)
             hist = globals()[METHODS[method][2]](batch, bin_width)

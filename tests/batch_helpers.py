@@ -1,5 +1,5 @@
-"""A reference batch-CSV row reader for the tests: file iteration in text
-mode, blank lines skipped, ``float()`` on each row with its line break, and
+"""A reference batch-CSV row reader for the tests: file iteration in UTF-8
+text mode, blank lines skipped, ``float()`` on each row with its line break, and
 ``BATCH_CHUNK`` rows to a block, with ``BatchFile.blocks``'s refusals."""
 
 from itertools import islice
@@ -11,7 +11,7 @@ from opatomo import chain
 
 def reference_blocks(path, n_shots: int):
     count, finite = 0, True
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()  # the header line
         fh.readline()  # the column line
         values = map(float, filter(str.strip, fh))

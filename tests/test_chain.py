@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from batch_helpers import reference_blocks
+from python_helpers import C_LOCALE, run_python
 from opatomo import chain
 from opatomo.chain import (
     BATCH_CHUNK,
@@ -472,6 +473,27 @@ def test_a_row_that_does_not_parse_is_refused_only_as_its_block_is_read(tmp_path
     assert first.tolist() == [float(row) for row in rows[:BATCH_CHUNK]]
     with pytest.raises(ValueError, match=r"^could not convert string to float: 'x\\n'$"):
         next(blocks)
+
+
+_READ_BATCH = """
+import locale, sys
+from opatomo.chain import BatchFile, ChainParams
+blocks = BatchFile(sys.argv[1], ChainParams(), 1, 0).blocks()
+print(locale.getpreferredencoding(False), [v for block in blocks for v in block.tolist()])
+"""
+
+
+def test_a_batch_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # float() reads the fullwidth digits of the UTF-8 row as 12.
+    path = tmp_path / "b.csv"
+    path.write_bytes("# {}\noutcome\n\uff11\uff12\n".encode("utf-8"))
+    reads = []
+    for env in (None, C_LOCALE):
+        proc = run_python("-c", _READ_BATCH, str(path), env=env)
+        assert proc.returncode == 0, proc.stderr
+        reads.append(proc.stdout.split(" ", 1))
+    assert reads[1][0] == "ANSI_X3.4-1968"  # the second read ran under an ASCII locale
+    assert [values for _, values in reads] == ["[12.0]\n"] * 2
 
 
 # -- parameter validation ------------------------------------------------------

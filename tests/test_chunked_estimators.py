@@ -5,7 +5,8 @@ Whatever the batch size, each single-pass estimator's histogram equals
 route's unfold equals the one on fold histograms of the whole arrays.  The
 working memory an estimator allocates on top of its batch stays O(chunk),
 and so does that of the ``simulate`` and ``reconstruct`` commands, which
-hold no whole batch at all.
+hold no whole batch at all, and that of the sweep engine, which does not
+grow with the number of chunks.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 
 from opatomo import cli, reconstruct
 from opatomo.chain import BATCH_CHUNK, ChainParams, HomodyneDetector, chunk_sizes, run_batch
+from opatomo.experiments import SweepSpec, homodyne_comparison, squeezing_table, sweep_gain
 from opatomo.hist import bin_values
 from opatomo.reconstruct import (
     GRID_HALF_WIDTH,
@@ -130,6 +132,17 @@ def test_chunked_double_equals_whole_array_unfold(monkeypatch, size):
     assert binned == chunk_sizes(size) * 2
 
 
+def _traced_peak(run):
+    """``run()``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 # The batch a CLI reconstruct reads at the README's scale.
 MEMORY_SHOTS = 1 << 20
 MEMORY_BOUND = 2 * 1024 * 1024
@@ -155,12 +168,7 @@ def test_estimator_working_memory_is_one_chunk(name):
 
         def run():
             return ESTIMATORS[name](batch)
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(run)
     assert peak <= MEMORY_BOUND, f"{name}: {peak / 2**20:.2f} MiB traced"
 
 
@@ -193,12 +201,34 @@ def _cli_argv(command: str, files: dict[str, str], out_dir: str) -> list[str]:
 @pytest.mark.parametrize("command", ["simulate", "displaced", "double"])
 def test_cli_working_memory_is_one_chunk(tmp_path, large_files, command):
     argv = _cli_argv(command, large_files, str(tmp_path))
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = _traced_peak(lambda: cli.main(argv))
     assert code == 0
     assert peak <= CLI_MEMORY_BOUND, f"{command}: {peak / 2**20:.2f} MiB traced"
+
+
+# One sweep of each workload's kind, at 2 repeats and two grid values.
+SWEEPS = {
+    "gain": (sweep_gain, SweepSpec("gain", "sq_disp", ("standard", "displaced"), "gain",
+                                   (1.0, 4.0), repeats=2)),
+    "homodyne_d": (homodyne_comparison, SweepSpec("homodyne_d", "sq", ("displaced",),
+                                                  "displacement", (10.0, 100.0), repeats=2)),
+    "squeeze": (squeezing_table, SweepSpec("squeezing", "sq", ("displaced",), "m", (3.0, 5.0),
+                                           params=ChainParams(displacement=100.0), repeats=2)),
+}
+# A chunk's chain terms take 0.75-1 MiB; holding two chunks' terms at once
+# shows as +0.5-0.6 MiB at three chunks.
+ENGINE_GROWTH_BOUND = 0.1 * 1024 * 1024
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_working_memory_does_not_grow_with_chunks(name):
+    sweep, spec = SWEEPS[name]
+    one, three = (replace(spec, n_shots=chunks * BATCH_CHUNK) for chunks in (1, 3))
+    sweep(one)  # first-call allocations (lazy imports, caches) stay untraced
+    _, one_peak = _traced_peak(lambda: sweep(one))
+    _, three_peak = _traced_peak(lambda: sweep(three))
+    assert three_peak <= one_peak + ENGINE_GROWTH_BOUND, (
+        f"{name}: {one_peak / 2**20:.2f} MiB at one chunk, "
+        f"{three_peak / 2**20:.2f} MiB at three"
+    )

@@ -35,6 +35,7 @@ from opatomo.reconstruct import (
     standard_reconstruct,
 )
 from opatomo.states import PRESETS, SourceState, preset
+from python_helpers import C_LOCALE, run_python
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,28 @@ def test_config_file_set_and_flag_precedence(capsys, tmp_path):
     with open(path) as fh:
         header = json.loads(fh.readline()[2:])
     assert header["chain"]["displacement"] == 100.0
+
+
+def test_a_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "run.cfg").write_bytes("n_shots = 20  # café\n".encode("utf-8"))
+    batches = []
+    for name, env in (("here", None), ("ascii", C_LOCALE)):
+        proc = run_python("-m", "opatomo.cli", "simulate", "--config", "run.cfg",
+                          "--out-dir", name, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        batches.append((tmp_path / name / "batch_sq_0.csv").read_bytes())
+    assert batches[0] == batches[1]
+
+
+def test_a_config_byte_that_does_not_decode_is_refused_naming_the_file(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"n_shots = 20  # caf\xe9\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert err == (f"error: {config}: 'utf-8' codec can't decode byte 0xe9 in position 19: "
+                   "invalid continuation byte\n")
+    assert not (tmp_path / "out").exists()
 
 
 # The option strings every command that runs the chain takes, and each
