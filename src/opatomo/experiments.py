@@ -235,9 +235,7 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     near_zero = [0] * len(pairs)
     for index, count in enumerate(chunk_sizes(n_shots)):
         # The last chunk's terms are freed before this chunk is drawn, so two
-        # chunks' terms are never held at once.  The draws keep their
-        # lifetime: freeing them first too makes glibc trim and re-fault the
-        # heap on every chunk.
+        # chunks' terms are never held at once.
         cache: dict = {}
         draws = draw_chunk(state, seed, index, count)
         for k, (params, method) in enumerate(pairs):

@@ -476,10 +476,11 @@ def test_a_row_that_does_not_parse_is_refused_only_as_its_block_is_read(tmp_path
 
 
 _READ_BATCH = """
-import locale, sys
+import codecs, locale, sys
 from opatomo.chain import BatchFile, ChainParams
 blocks = BatchFile(sys.argv[1], ChainParams(), 1, 0).blocks()
-print(locale.getpreferredencoding(False), [v for block in blocks for v in block.tolist()])
+print(codecs.lookup(locale.getpreferredencoding(False)).name,
+      [v for block in blocks for v in block.tolist()])
 """
 
 
@@ -492,7 +493,7 @@ def test_a_batch_file_is_read_as_utf8_whatever_the_locale(tmp_path):
         proc = run_python("-c", _READ_BATCH, str(path), env=env)
         assert proc.returncode == 0, proc.stderr
         reads.append(proc.stdout.split(" ", 1))
-    assert reads[1][0] == "ANSI_X3.4-1968"  # the second read ran under an ASCII locale
+    assert reads[1][0] == "ascii"  # the second read ran under an ASCII locale
     assert [values for _, values in reads] == ["[12.0]\n"] * 2
 
 

@@ -7,16 +7,11 @@ that imports ``opatomo.cli``, notes ``sys.modules``, runs the command through
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from opatomo.cli import EXIT_OK, main
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from python_helpers import run_python
 
 _CHILD = """
 import json, sys
@@ -71,12 +66,8 @@ def batches(tmp_path_factory) -> dict[str, str]:
 def test_command_runs_without_scipy_and_loads_nothing(tmp_path, batches, command):
     argv = [arg.format(**batches) for arg in COMMANDS[command]]
     report = tmp_path / "modules.json"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(report), *argv, "--out-dir", str(tmp_path / "out")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", _CHILD, str(report), *argv, "--out-dir", str(tmp_path / "out"),
+                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     found = json.loads(report.read_text())
     assert found["code"] == EXIT_OK, proc.stderr
