@@ -196,8 +196,18 @@ def intensity_shot(
 
     def gain_terms():
         P = _cached(cache, "P", incoupling, lambda: _incoupled(p, params, normals[1]))
-        g = np.maximum(params.gain + params.gain_jitter * normals[2], 0.0)
-        return np.exp(g) * X, (np.exp(-g) * P) ** 2
+        # e^g X and (e^-g P)^2 with g = max(G + j n, 0), evaluated in two
+        # fresh arrays, g's and e^g's, so no draw or cached term is written.
+        g = params.gain_jitter * normals[2]
+        g += params.gain
+        np.maximum(g, 0.0, out=g)
+        gained = np.exp(g)
+        gained *= X
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        g *= P
+        np.square(g, out=g)
+        return gained, g
 
     gained_x, deamplified_sq = _cached(
         cache, "intensity_gain", (params.gain, params.gain_jitter, *incoupling), gain_terms

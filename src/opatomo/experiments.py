@@ -234,8 +234,9 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     hists = [None] * len(pairs)
     near_zero = [0] * len(pairs)
     for index, count in enumerate(chunk_sizes(n_shots)):
-        # The last chunk's terms are freed before this chunk is drawn, so two
-        # chunks' terms are never held at once.
+        # The last chunk's draws and terms are freed before this chunk is
+        # drawn, so two chunks' draws or terms are never held at once.
+        draws = None
         cache: dict = {}
         draws = draw_chunk(state, seed, index, count)
         for k, (params, method) in enumerate(pairs):
