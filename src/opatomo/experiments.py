@@ -226,8 +226,11 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
 
     Each chunk's source and chain draws are made once and applied at every
     pair, and the chain terms that pairs share are computed once per chunk
-    (``apply_chunk``'s cache); only one chunk's draws and terms are held at a
-    time.  Pairs are tallied by position: each pair keeps one running
+    (``apply_chunk``'s cache, whose intensity gain terms are built in place).
+    The previous chunk's draws and terms are freed before the next chunk is
+    drawn, so only one chunk's draws and terms are held at a time; each
+    pair's last batch and histogram stay bound until the next chunk's pass
+    rebinds them.  Pairs are tallied by position: each pair keeps one running
     histogram, to which every chunk's histogram is added, and the per-chunk
     near-zero counts add up exactly to that of the whole batch.
     """
@@ -235,7 +238,9 @@ def _seed_histograms(state, pairs: list, bin_width: float, n_shots: int, seed: i
     near_zero = [0] * len(pairs)
     for index, count in enumerate(chunk_sizes(n_shots)):
         # The last chunk's draws and terms are freed before this chunk is
-        # drawn, so two chunks' draws or terms are never held at once.
+        # drawn, so two chunks' draws or terms are never held at once.  Each
+        # pair's batch and hist are left to be rebound: freeing them as well
+        # lets the heap trim and re-fault its pages at every chunk.
         draws = None
         cache: dict = {}
         draws = draw_chunk(state, seed, index, count)

@@ -243,6 +243,51 @@ def test_repeated_calls_on_a_shared_cache_write_no_cached_term(detector):
         apply_chunk(draws, params).tobytes() for params in settings]
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh_cache", "shared_cache"])
+@pytest.mark.parametrize("detector", [
+    IntensityDetector(), HomodyneDetector(efficiency=0.5, electronic_noise=0.1),
+])
+def test_apply_chunk_never_writes_its_draws(detector, shared):
+    # One chunk's draws serve every pair of a sweep, so no shot function may
+    # compute in them.  At gain 0 and unit jitter the per-shot gain of every
+    # shot with a negative gain normal is clipped at 0.
+    draws = draw_chunk(preset("sq"), 6, 0, 2_000)
+    gain_row = draws[2][2 if detector.kind == "intensity" else 1]
+    assert (gain_row < 0.0).any()
+    before = [a.tobytes() for a in draws]
+    cache: dict = {}
+    for gain in (0.0, 2.0):
+        for d in (0.0, 30.0):
+            if not shared:
+                cache = {}
+            params = ChainParams(gain=gain, gain_jitter=1.0, displacement=d, detector=detector)
+            out = apply_chunk(draws, params, cache)
+            for a in (out, *_cached_terms(cache)):
+                assert not any(np.shares_memory(a, draw) for draw in draws)
+            assert [a.tobytes() for a in draws] == before
+
+
+_GAIN_DRAWS = draw_chunk(preset("sq_disp"), 7, 0, 1_000)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(gain=st.floats(0.0, 8.0), jitter=st.floats(0.0, 4.0))
+@example(gain=0.0, jitter=0.0)
+@example(gain=0.0, jitter=1.0)
+@example(gain=0.5, jitter=4.0)
+def test_intensity_gain_terms_equal_their_closed_forms_bit_for_bit(gain, jitter):
+    # The cached pair is built in place; it must hold the bytes of e^g X and
+    # (e^-g P)^2 with g = max(G + j n, 0), clipped shots included.
+    x, p, normals = _GAIN_DRAWS
+    cache: dict = {}
+    intensity_shot(x, p, ChainParams(gain=gain, gain_jitter=jitter), normals, cache)
+    X, P = cache["X"][1], cache["P"][1]
+    g = np.maximum(gain + jitter * normals[2], 0.0)
+    gained_x, deamplified_sq = cache["intensity_gain"][1]
+    assert gained_x.tobytes() == (np.exp(g) * X).tobytes()
+    assert deamplified_sq.tobytes() == ((np.exp(-g) * P) ** 2).tobytes()
+
+
 def test_batch_size_validation():
     with pytest.raises(ConfigError):
         run_batch(preset("vac"), ChainParams(), 0, seed=0)

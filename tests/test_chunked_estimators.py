@@ -6,7 +6,8 @@ route's unfold equals the one on fold histograms of the whole arrays.  The
 working memory an estimator allocates on top of its batch stays O(chunk),
 and so does that of the ``simulate`` and ``reconstruct`` commands, which
 hold no whole batch at all, and that of the sweep engine, which does not
-grow with the number of chunks.
+grow with the number of chunks and frees each chunk's draws before it draws
+the next.
 """
 
 import contextlib
@@ -18,8 +19,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opatomo import cli, reconstruct
-from opatomo.chain import BATCH_CHUNK, ChainParams, HomodyneDetector, chunk_sizes, run_batch
+from opatomo import cli, experiments, reconstruct
+from opatomo.chain import (
+    BATCH_CHUNK,
+    CHAIN_NORMALS,
+    ChainParams,
+    HomodyneDetector,
+    chunk_sizes,
+    run_batch,
+)
 from opatomo.experiments import SweepSpec, homodyne_comparison, squeezing_table, sweep_gain
 from opatomo.hist import bin_values
 from opatomo.reconstruct import (
@@ -231,4 +239,31 @@ def test_sweep_working_memory_does_not_grow_with_chunks(name):
     assert three_peak <= one_peak + ENGINE_GROWTH_BOUND, (
         f"{name}: {one_peak / 2**20:.2f} MiB at one chunk, "
         f"{three_peak / 2**20:.2f} MiB at three"
+    )
+
+
+# One chunk's draws (x, p and CHAIN_NORMALS rows of BATCH_CHUNK floats) take
+# 7 * 128 KiB.  All that may remain from earlier chunks at a later draw is the
+# last pair's outcomes and every pair's running histogram, about 140 KiB.
+DRAW_GROWTH_BOUND = CHAIN_NORMALS * BATCH_CHUNK * 8
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_frees_each_chunks_draws_before_the_next_draw(monkeypatch, name):
+    sweep, spec = SWEEPS[name]
+    three = replace(spec, n_shots=3 * BATCH_CHUNK)
+    sweep(three)  # first-call allocations (lazy imports, caches) stay untraced
+    held: list[int] = []
+    draw = experiments.draw_chunk
+
+    def traced_draw(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "draw_chunk", traced_draw)
+    _traced_peak(lambda: sweep(three))
+    assert len(held) == 3 * spec.repeats
+    growth = [h - held[0] for h in held[1:]]
+    assert max(growth) < DRAW_GROWTH_BOUND, (
+        f"{name}: {[round(g / 2**10) for g in growth]} KiB held over the first draw"
     )
