@@ -312,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("param", f"the {args.kind} sweep sets {param}; only robustness takes it")
     config = build_config(args, {param: f"the {args.kind} sweep sets it at every point",
                                  **_SWEEP_REFUSES, **refused})
-    methods = tuple((args.methods or "standard,displaced").split(","))
+    methods = tuple(args.methods.split(","))
     return _run_sweep(globals()[name], config, args.repeats, args.kind.replace("-", "_"),
                       methods, param, _parse_grid(args.grid, default, "grid"))
 
@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=tuple(_SWEEP_KINDS))
     p.add_argument("--param", help="swept chain field (robustness sweeps)")
     p.add_argument("--grid", help="comma-separated grid values")
-    p.add_argument("--methods", help="comma-separated method list")
+    p.add_argument("--methods", default="standard,displaced",
+                   help="comma-separated method list")
     p.add_argument("--repeats", type=int, default=8)
     p.set_defaults(func=cmd_sweep)
 

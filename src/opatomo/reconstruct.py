@@ -101,12 +101,17 @@ class InconsistentBinning(ValueError):
 
 def check_method(method: str, params: ChainParams, key: str = "method") -> None:
     """Refuse, as ``ConfigError(key, ...)``, a method that cannot read a batch
-    taken on ``params``: its detector is not the method's, or the method is
-    ``standard`` and the displacement is not zero."""
+    taken on ``params``: its detector is not the method's, the method is
+    ``standard`` and the displacement is not zero, or the method is
+    ``displaced`` and the displacement is negative (it inverts on the
+    positive branch only; a zero one is left to ``check_positivity``)."""
     if METHODS[method][0] != params.detector.kind:
         raise ConfigError(key, f"{method} cannot read the {params.detector.kind} detector")
     if method == "standard" and params.displacement != 0.0:
         raise ConfigError(key, "standard needs a batch taken at zero displacement")
+    if method == "displaced" and params.displacement < 0.0:
+        raise ConfigError(key, "displaced needs a batch taken at a positive displacement "
+                               f"(got {params.displacement!r})")
 
 
 def check_positivity(batch: ShotBatch | BatchFile, fraction: float) -> None:

@@ -766,6 +766,9 @@ BAD_RUN_ARGUMENTS = {
         "methods"),
     "sweep-methods-homodyne-gain": (
         "sweep", ["--kind", "homodyne-gain", "--grid", "2", "--methods", "homodyne"], "methods"),
+    # An explicit empty list is refused, not read as absent.
+    "sweep-methods-empty": ("sweep", ["--kind", "displacement", "--grid", "10", "--methods", ""],
+                            "methods"),
     "squeeze-m-even": ("squeeze", ["--m", "4"], "m"),
     "squeeze-m-fraction": ("squeeze", ["--m", "3.7"], "m"),
     "squeeze-m-inf": ("squeeze", ["--m", "inf"], "m"),
@@ -961,6 +964,54 @@ def test_squeeze_reports_table(capsys, tmp_path):
     payload = json.loads(out)
     assert "v_d" in payload["summary"]
     assert "analytic" in payload["summary"]["v_d"]["3"]
+
+
+# The displaced estimator inverts on the positive branch only, so at a
+# negative displacement it would mirror the state; each command refuses one
+# before any row is read or anything is drawn.
+_NEGATIVE_D = "displaced needs a batch taken at a positive displacement (got -100.0)"
+
+
+def _record_source_draws(monkeypatch) -> list:
+    draws = []
+    real = SourceState.sample_xp
+    monkeypatch.setattr(SourceState, "sample_xp",
+                        lambda self, *args: draws.append(args) or real(self, *args))
+    return draws
+
+
+def test_reconstruct_displaced_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
+    batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "-100",
+                     "--n-shots", "2000")
+    reads = []
+    monkeypatch.setattr(BatchFile, "blocks", lambda self: reads.append(self) or iter(()))
+    code, out, err = run_cli(capsys, "reconstruct", "--batch", batch, "--method", "displaced",
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: method: {_NEGATIVE_D}\n")
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_displaced_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
+    draws = _record_source_draws(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", "--kind", "displacement", "--grid=-100,100",
+                             "--methods", "displaced", "--n-shots", "200", "--repeats", "2",
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: methods: {_NEGATIVE_D}\n")
+    assert draws == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_squeeze_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
+    draws = _record_source_draws(monkeypatch)
+    code, out, err = run_cli(capsys, "squeeze", "--m", "3", "--displacement", "-100",
+                             "--n-shots", "200", "--repeats", "2",
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: displacement: ") and len(err.splitlines()) == 1
+    assert "positive displacement" in err
+    assert draws == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_runconfig_validation_names_offending_field():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,29 @@ def test_homodyne_displacement_mode_structure():
     for key in ("homodyne_level", "homodyne_variation", "flat_within_band",
                 "displaced_plateau_level"):
         assert key in result.summary
+
+
+@pytest.mark.parametrize("grid", [(10.0, 100.0, 1000.0), (10.0, 30.0, 100.0, 1000.0)],
+                         ids=["odd", "even"])
+def test_repeat_std_band_is_twice_the_statistics_median(monkeypatch, grid):
+    # The band's median is written out with statistics.median's formula, so
+    # it keeps the bytes statistics.median gives, for an odd or an even
+    # number of homodyne rows.  The homodyne stds agree bit for bit across a
+    # displacement grid, so each point's std is replaced by a distinct,
+    # irregular one; under seed 91 the even grid's two middle ones average
+    # to another float than np.percentile's a + (b - a) * 0.5.
+    real = experiments._mean_std
+    stds = iter(np.random.default_rng(91).uniform(1e-4, 1e-2, 2 * len(grid)))
+    monkeypatch.setattr(experiments, "_mean_std",
+                        lambda values: (real(values)[0], float(next(stds))))
+    spec = small_spec(experiment="homodyne_d", methods=("displaced",), grid=grid)
+    result = homodyne_comparison(spec)
+    stds = [r.std_infidelity for r in result.rows if r.method == "homodyne"]
+    assert len(stds) == len(grid) and len(set(stds)) == len(grid)
+    assert result.summary["repeat_std_band"].hex() == (2 * statistics.median(stds)).hex()
+    if len(grid) % 2 == 0:
+        a, b = sorted(stds)[len(grid) // 2 - 1:len(grid) // 2 + 1]
+        assert (a + b) / 2 != a + (b - a) * 0.5
 
 
 def test_homodyne_gain_mode_structure():
