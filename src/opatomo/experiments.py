@@ -419,8 +419,9 @@ def homodyne_comparison(spec: SweepSpec) -> SweepResult:
     rows = _sweep(spec, [("homodyne", detector, {})])
     h_means = [r.mean_infidelity for r in rows if r.method == "homodyne"]
     # The median by statistics.median's formula (the middle value, or the mean
-    # of the two middle ones), so the band keeps its bytes; importing
-    # statistics loads decimal and fractions (~0.6 MiB), np.median numpy.ma.
+    # of the two middle ones), so the band keeps its bytes without importing
+    # statistics, which loads decimal and fractions (~0.5 MiB); np.median
+    # would load numpy.ma.
     h_stds = sorted(r.std_infidelity for r in rows if r.method == "homodyne")
     mid = len(h_stds) // 2
     band = 2.0 * (h_stds[mid] if len(h_stds) % 2 else (h_stds[mid - 1] + h_stds[mid]) / 2)

@@ -776,6 +776,12 @@ BAD_RUN_ARGUMENTS = {
     "squeeze-m-unsorted": ("squeeze", ["--m", "5,3"], "m"),
     "squeeze-m-repeated": ("squeeze", ["--m", "3,3"], "m"),
     "squeeze-displacement-zero": ("squeeze", ["--m", "3", "--displacement", "0"], "displacement"),
+    # The displaced estimator inverts on the positive branch only.
+    "sweep-displaced-negative-displacement": (
+        "sweep", ["--kind", "displacement", "--grid=-100,100", "--methods", "displaced"],
+        "methods"),
+    "squeeze-displacement-negative": ("squeeze", ["--m", "3", "--displacement", "-100"],
+                                      "displacement"),
     "simulate-seed-negative": ("simulate", ["--seed", "-1"], "seed"),
     "sweep-seed-negative": ("sweep", ["--kind", "gain", "--grid", "2", "--seed", "-1"], "seed"),
 }
@@ -966,51 +972,19 @@ def test_squeeze_reports_table(capsys, tmp_path):
     assert "analytic" in payload["summary"]["v_d"]["3"]
 
 
-# The displaced estimator inverts on the positive branch only, so at a
-# negative displacement it would mirror the state; each command refuses one
-# before any row is read or anything is drawn.
-_NEGATIVE_D = "displaced needs a batch taken at a positive displacement (got -100.0)"
-
-
-def _record_source_draws(monkeypatch) -> list:
-    draws = []
-    real = SourceState.sample_xp
-    monkeypatch.setattr(SourceState, "sample_xp",
-                        lambda self, *args: draws.append(args) or real(self, *args))
-    return draws
-
-
 def test_reconstruct_displaced_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
+    # The displaced estimator inverts on the positive branch only, so at
+    # d < 0 it would mirror the state; the batch is refused before any row
+    # is read.
     batch = simulate(capsys, tmp_path, "--state", "sq", "--displacement", "-100",
                      "--n-shots", "2000")
     reads = []
     monkeypatch.setattr(BatchFile, "blocks", lambda self: reads.append(self) or iter(()))
     code, out, err = run_cli(capsys, "reconstruct", "--batch", batch, "--method", "displaced",
                              "--out-dir", str(tmp_path / "out"))
-    assert (code, out, err) == (EXIT_CONFIG, "", f"error: method: {_NEGATIVE_D}\n")
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: method: displaced needs a batch taken "
+                                                 "at a positive displacement (got -100.0)\n")
     assert reads == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_sweep_displaced_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
-    draws = _record_source_draws(monkeypatch)
-    code, out, err = run_cli(capsys, "sweep", "--kind", "displacement", "--grid=-100,100",
-                             "--methods", "displaced", "--n-shots", "200", "--repeats", "2",
-                             "--out-dir", str(tmp_path / "out"))
-    assert (code, out, err) == (EXIT_CONFIG, "", f"error: methods: {_NEGATIVE_D}\n")
-    assert draws == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_squeeze_refuses_a_negative_displacement(capsys, tmp_path, monkeypatch):
-    draws = _record_source_draws(monkeypatch)
-    code, out, err = run_cli(capsys, "squeeze", "--m", "3", "--displacement", "-100",
-                             "--n-shots", "200", "--repeats", "2",
-                             "--out-dir", str(tmp_path / "out"))
-    assert code == EXIT_CONFIG and out == ""
-    assert err.startswith("error: displacement: ") and len(err.splitlines()) == 1
-    assert "positive displacement" in err
-    assert draws == []
     assert not (tmp_path / "out").exists()
 
 

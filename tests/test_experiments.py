@@ -375,11 +375,11 @@ def test_repeat_std_band_is_twice_the_statistics_median(monkeypatch, grid):
     # number of homodyne rows.  The homodyne stds agree bit for bit across a
     # displacement grid, so each point's std is replaced by a distinct,
     # irregular one; under seed 91 the even grid's two middle ones average
-    # to another float than np.percentile's a + (b - a) * 0.5.
+    # to another float than the interpolation a + (b - a) * 0.5 gives.
     real = experiments._mean_std
-    stds = iter(np.random.default_rng(91).uniform(1e-4, 1e-2, 2 * len(grid)))
+    drawn = iter(np.random.default_rng(91).uniform(1e-4, 1e-2, 2 * len(grid)))
     monkeypatch.setattr(experiments, "_mean_std",
-                        lambda values: (real(values)[0], float(next(stds))))
+                        lambda values: (real(values)[0], float(next(drawn))))
     spec = small_spec(experiment="homodyne_d", methods=("displaced",), grid=grid)
     result = homodyne_comparison(spec)
     stds = [r.std_infidelity for r in result.rows if r.method == "homodyne"]

@@ -79,7 +79,7 @@ def test_command_runs_without_scipy_and_loads_nothing(tmp_path, batches, command
 def test_import_leaves_out_statistics_decimal_and_fractions():
     # The homodyne flatness band's median is written out, so importing the
     # CLI does not pay for statistics and the decimal and fractions modules
-    # it loads (about 0.6 MiB of every pass's peak).
+    # it loads (about 0.5 MiB of every pass's peak).
     unused = "{'statistics', 'decimal', 'fractions'}"
     proc = run_python("-c", f"import sys, opatomo.cli; print(sorted({unused} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
