@@ -260,7 +260,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _parse_grid(text: str | None, default: tuple[float, ...], key: str) -> tuple[float, ...]:
     """The comma-separated values of flag ``key``; ``default`` when not given."""
-    if not text:
+    if text is None:
         return default
     try:
         return tuple(float(part) for part in text.split(","))

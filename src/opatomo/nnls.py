@@ -6,12 +6,16 @@ active-set method terminates in finitely many steps on such systems and
 avoids the tolerance tuning an iterative projected-gradient scheme would
 need, so that is what ``solve_nnls`` implements.
 
-Matrices are plain ``numpy.ndarray`` objects in row-major layout.
+Matrices are plain ``numpy.ndarray`` objects in row-major layout.  The
+least-squares subproblems are solved by ``_lstsq``, a Householder QR in plain
+numpy that calls no LAPACK routine: numpy's first ``lstsq`` call maps about
+1.1 MiB of LAPACK pages that stay resident for the rest of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -60,6 +64,30 @@ def _validate_system(matrix, rhs) -> tuple[np.ndarray, np.ndarray]:
     return m, b
 
 
+def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x minimising ||M x - b|| for M of full column rank (rows >= columns).
+
+    Householder QR without pivoting: column j's reflector zeroes its entries
+    below the diagonal in the rest of M and is applied to b alongside, and
+    back substitution solves R x = Q^T b.  Lawson-Hanson keeps its passive
+    columns linearly independent, so ``solve_nnls`` only asks for such
+    systems.
+    """
+    r = matrix.copy()
+    qtb = rhs.copy()
+    n_cols = r.shape[1]
+    for j in range(n_cols):
+        v = r[j:, j].copy()
+        v[0] += math.copysign(math.sqrt(float(v @ v)), v[0])
+        scale = 2.0 / float(v @ v)
+        r[j:, j:] -= np.multiply.outer(v, scale * (v @ r[j:, j:]))
+        qtb[j:] -= (scale * float(v @ qtb[j:])) * v
+    x = np.zeros(n_cols)
+    for i in range(n_cols - 1, -1, -1):
+        x[i] = (qtb[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
 def solve_nnls(matrix, rhs) -> NnlsResult:
     """Non-negative least squares: minimize ||M x - b|| subject to x >= 0.
 
@@ -71,6 +99,8 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
 
     When the iteration cap, ``MAX_ITER_PER_COLUMN * n_columns``, is reached
     the best iterate found so far is returned with ``converged=False``.
+
+    Each passive-set least-squares solve is ``_lstsq``'s Householder QR.
     """
     m, b = _validate_system(matrix, rhs)
     n_cols = m.shape[1]
@@ -100,7 +130,7 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
             n_iter += 1
             cols = np.flatnonzero(passive)
             z = np.zeros(n_cols)
-            z[cols] = np.linalg.lstsq(m[:, cols], b, rcond=None)[0]
+            z[cols] = _lstsq(m[:, cols], b)
             if np.all(z[cols] > 0.0):
                 x = z
                 break
@@ -122,5 +152,6 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
             break
 
     x = np.where(x < 0.0, 0.0, x)
-    residual = float(np.linalg.norm(m @ x - b))
+    r = m @ x - b
+    residual = math.sqrt(float(r @ r))
     return NnlsResult(x=x, residual=residual, converged=converged, n_iter=n_iter)

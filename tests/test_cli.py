@@ -333,6 +333,29 @@ def test_reconstruct_double_end_to_end(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_reconstruct_double_calls_no_lapack(capsys, tmp_path, monkeypatch):
+    # numpy's first LAPACK call maps about 1.1 MiB that stays resident for the
+    # rest of the process, so the two-displacement unfold makes none.
+    first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
+                     "--n-shots", "30000", "--seed", "0")
+    second = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "66",
+                      "--n-shots", "30000", "--seed", "1")
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} was called")
+        return call
+
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if callable(function) and not isinstance(function, type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+    code, _, err = run_cli(capsys, "reconstruct", "--batch", first, "--batch2", second,
+                           "--method", "double", "--bin-width", "0.2",
+                           "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+
+
 @pytest.mark.parametrize("stray", [1e6, 1e9])
 def test_reconstruct_double_counts_stray_outcomes_as_overflow(capsys, tmp_path, stray):
     first = simulate(capsys, tmp_path, "--state", "mix", "--displacement", "33",
@@ -769,6 +792,9 @@ BAD_RUN_ARGUMENTS = {
     # An explicit empty list is refused, not read as absent.
     "sweep-methods-empty": ("sweep", ["--kind", "displacement", "--grid", "10", "--methods", ""],
                             "methods"),
+    "sweep-grid-empty": ("sweep", ["--kind", "displacement", "--grid=", "--methods", "displaced"],
+                         "grid"),
+    "squeeze-m-empty": ("squeeze", ["--m="], "m"),
     "squeeze-m-even": ("squeeze", ["--m", "4"], "m"),
     "squeeze-m-fraction": ("squeeze", ["--m", "3.7"], "m"),
     "squeeze-m-inf": ("squeeze", ["--m", "inf"], "m"),

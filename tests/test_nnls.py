@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from opatomo import nnls
 from opatomo.nnls import KKT_RTOL, NnlsResult, solve_nnls
+from opatomo.reconstruct import build_fold_matrices
 
 
 def enumerate_nnls(m: np.ndarray, b: np.ndarray) -> float:
@@ -150,3 +151,61 @@ def test_nnls_solution_nonnegative_and_converges(cols, rows, seed):
     assert np.all(result.x >= 0.0)
     assert result.residual >= 0.0
     assert result.converged
+
+
+# -- the QR least-squares helper against LAPACK ----------------------------------
+
+def lapack_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(m, b, rcond=None)[0]
+
+
+def fold_system(n1: int, n2: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked fold matrix of (n1, n2) and a random non-negative mass vector."""
+    a, b = build_fold_matrices(n1, n2)
+    m = np.vstack([a, b])
+    return m, np.random.default_rng(seed).random(m.shape[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_lstsq_matches_lapack_on_tall_full_rank_systems(cols, extra_rows, seed):
+    # At least twice as many rows as columns keeps a Gaussian matrix well
+    # conditioned, and coefficients of magnitude 1-2 keep x away from zero.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(2 * cols + extra_rows, cols))
+    b = m @ (rng.uniform(1.0, 2.0, size=cols) * rng.choice([-1.0, 1.0], size=cols))
+    b += rng.normal(size=b.size)
+    expected = lapack_lstsq(m, b)
+    assert np.linalg.norm(nnls._lstsq(m, b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_lstsq_matches_lapack_on_fold_systems(n1, delta, seed):
+    m, b = fold_system(n1, n1 + delta, seed)
+    cols = np.arange(2 * n1)
+    if delta == 0:
+        # With n1 = n2 signed bins k and 2*n1-1-k fold alike, so their columns
+        # are equal; keep one of each pair.
+        keep_low = np.random.default_rng(seed + 1).integers(0, 2, size=n1).astype(bool)
+        cols = np.where(keep_low, np.arange(n1), 2 * n1 - 1 - np.arange(n1))
+    expected = lapack_lstsq(m[:, cols], b)
+    got = nnls._lstsq(m[:, cols], b)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_nnls_matches_a_lapack_reference_on_fold_systems(n1, delta, seed):
+    m, b = fold_system(n1, n1 + delta, seed)
+    result = solve_nnls(m, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnls, "_lstsq", lapack_lstsq)
+        reference = solve_nnls(m, b)
+    assert result.converged and reference.converged
+    assert result.n_iter == reference.n_iter
+    assert np.array_equal(result.x > 0.0, reference.x > 0.0)
+    assert result.residual == pytest.approx(reference.residual, rel=1e-12, abs=1e-15)
