@@ -137,7 +137,7 @@ class ChainParams:
         kind = det_d.pop("kind", "intensity")
         rest = {k: v for k, v in d.items() if k != "detector"}
         if kind not in ("homodyne", "intensity"):
-            raise ConfigError("detector.kind", f"unknown detector kind {kind!r}")
+            raise ConfigError("detector", f"unknown detector kind {kind!r}")
         for name, given, cls in (("chain", rest, ChainParams),
                                  ("detector", det_d, HomodyneDetector)):
             unknown = sorted(set(given) - {f.name for f in fields(cls)})
@@ -145,11 +145,13 @@ class ChainParams:
                 raise ConfigError(name, f"unknown fields {unknown!r}")
         if kind == "intensity" and det_d:
             raise ConfigError(next(iter(det_d)), "is a homodyne setting, but detector=intensity")
+        for name, value in {**rest, **det_d}.items():
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ConfigError("chain", f"{name} must be a number (got {value!r})")
         try:
             detector = HomodyneDetector(**det_d) if kind == "homodyne" else IntensityDetector()
             return ChainParams(detector=detector, **rest)
-        except (TypeError, OverflowError) as exc:
-            # A value that is not a number, or too large an integer.
+        except OverflowError as exc:  # too large an integer
             raise ConfigError("chain", str(exc)) from None
 
 
@@ -360,12 +362,10 @@ class BatchFile:
         state_label = meta.get("state", "")
         if not isinstance(state_label, str):
             raise ValueError(f"{path}: batch header state must be a string")
-        try:
-            n_shots, seed = int(meta["n_shots"]), int(meta["seed"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"{path}: batch header n_shots and seed must be integers ({exc})"
-            ) from None
+        n_shots, seed = meta["n_shots"], meta["seed"]
+        if type(n_shots) is not int or type(seed) is not int:
+            raise ValueError(f"{path}: batch header n_shots and seed must be integers "
+                             f"(got {n_shots!r} and {seed!r})")
         return BatchFile(path, ChainParams.from_dict(meta["chain"]), n_shots, seed, state_label)
 
     def blocks(self):

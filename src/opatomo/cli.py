@@ -89,8 +89,6 @@ class RunConfig:
         preset(self.state)
         if self.method not in METHODS:
             raise ConfigError("method", f"unknown method {self.method!r}")
-        if self.detector not in ("intensity", "homodyne"):
-            raise ConfigError("detector", f"unknown detector {self.detector!r}")
         validate_scale(self.n_shots, self.seed, self.bin_width)
 
     def to_json(self) -> str:
@@ -139,8 +137,8 @@ def build_config(args: argparse.Namespace, refused: dict[str, str],
     ``--set`` items, then flags; a later source overrides an earlier one.
     Every setting, from any source, is refused with its reason if its key is
     in ``refused``, and otherwise cast by its field's caster.
-    Homodyne detector fields imply ``detector=homodyne``; with
-    ``detector=intensity`` they are an error.
+    Homodyne detector fields imply ``detector=homodyne``; the chain is then
+    checked by ``ChainParams.from_dict``, as a batch header's is.
     """
     lines = []
     if args.config:
@@ -171,12 +169,8 @@ def build_config(args: argparse.Namespace, refused: dict[str, str],
     homodyne = {key: given.pop(key) for key in _DETECTOR_FIELDS if key in given}
     chain = {key: given.pop(key) for key in _CHAIN_FIELDS if key in given}
     given.setdefault("detector", "homodyne" if homodyne else "intensity")
-    if given["detector"] == "homodyne":
-        chain["detector"] = HomodyneDetector(**homodyne)
-    elif homodyne:
-        raise ConfigError(next(iter(homodyne)),
-                          f"is a homodyne setting, but detector={given['detector']}")
-    config = RunConfig(**given, params=ChainParams(**chain))
+    chain["detector"] = {"kind": given["detector"], **homodyne}
+    config = RunConfig(**given, params=ChainParams.from_dict(chain))
     config.validate()
     return config
 

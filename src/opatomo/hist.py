@@ -26,7 +26,6 @@ __all__ = [
     "grid_bins",
     "bin_values",
     "fidelity",
-    "analytic_bins",
     "analytic_point_density",
 ]
 
@@ -187,20 +186,11 @@ def fidelity(estimate: QuadratureHistogram | DensityEstimate, state: SourceState
     return bc * bc
 
 
-def analytic_bins(state: SourceState, bin_width: float, lo: float, hi: float) -> DensityEstimate:
-    """The state's exact marginal, binned; the noiseless reference estimate."""
-    n_bins, _ = grid_bins(bin_width, lo, hi)
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    p = state.bin_probabilities(edges)
-    return DensityEstimate(centers=0.5 * (edges[:-1] + edges[1:]), masses=p, bin_width=bin_width)
-
-
 def analytic_point_density(state: SourceState, bin_width: float) -> DensityEstimate:
     """The state's exact marginal pdf evaluated at bin centers.
 
-    Unlike ``analytic_bins`` this does not integrate over the bins: the pdf
-    is sampled pointwise at 241 bin centers, the middle one on the state's
-    marginal mean.  Parabola fits of peak curvature prefer this reference
+    The pdf is not integrated over the bins but sampled pointwise at 241
+    bin centers, the middle one on the state's marginal mean.  Parabola fits of peak curvature prefer this reference
     because bin integration flattens the apex and inflates the fitted
     variance.
     """

@@ -98,7 +98,7 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
     which keeps the iteration deterministic across platforms.
 
     When the iteration cap, ``MAX_ITER_PER_COLUMN * n_columns``, is reached
-    the best iterate found so far is returned with ``converged=False``.
+    first, the last iterate is returned with ``converged=False``.
 
     Each passive-set least-squares solve is ``_lstsq``'s Householder QR.
     """
@@ -111,22 +111,18 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
     tol = KKT_RTOL * float(np.max(np.abs(m.T @ b), initial=0.0))
 
     n_iter = 0
-    converged = False
     while True:
-        # Negative gradient of the objective at the current iterate.
+        # Negative gradient at the current iterate: the only optimality test.
         w = m.T @ (b - m @ x)
         candidates = ~passive & (w > tol)
-        if not np.any(candidates):
-            converged = True
-            break
-        if n_iter >= max_iter:
+        if not candidates.any() or n_iter >= max_iter:
             break
         # argmax over candidates; numpy returns the first (lowest) index
         # among ties.
         scores = np.where(candidates, w, -np.inf)
         passive[int(np.argmax(scores))] = True
 
-        while True:
+        while n_iter < max_iter:
             n_iter += 1
             cols = np.flatnonzero(passive)
             z = np.zeros(n_cols)
@@ -143,15 +139,8 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
             at_zero = passive & (x <= tol * max(1.0, float(np.max(np.abs(x)))))
             x[at_zero] = 0.0
             passive[at_zero] = False
-            if n_iter >= max_iter:
-                break
-        if n_iter >= max_iter and not converged:
-            # Re-check optimality once before giving up.
-            w = m.T @ (b - m @ x)
-            converged = not np.any(~passive & (w > tol))
-            break
 
-    x = np.where(x < 0.0, 0.0, x)
+    converged = not candidates.any()
     r = m @ x - b
     residual = math.sqrt(float(r @ r))
     return NnlsResult(x=x, residual=residual, converged=converged, n_iter=n_iter)

@@ -1,7 +1,10 @@
-"""State constructors and moments that only the tests use."""
+"""State constructors, moments and references that only the tests use."""
 
 import math
 
+import numpy as np
+
+from opatomo.hist import DensityEstimate, grid_bins
 from opatomo.states import VACUUM_VARIANCE, GaussianComponent, SourceState
 
 
@@ -30,3 +33,11 @@ def marginal_variance(state: SourceState) -> float:
         for c in state.components
     )
     return second - mu * mu
+
+
+def analytic_bins(state: SourceState, bin_width: float, lo: float, hi: float) -> DensityEstimate:
+    """The state's exact marginal, binned; the noiseless reference estimate."""
+    n_bins, _ = grid_bins(bin_width, lo, hi)
+    edges = lo + bin_width * np.arange(n_bins + 1)
+    p = state.bin_probabilities(edges)
+    return DensityEstimate(centers=0.5 * (edges[:-1] + edges[1:]), masses=p, bin_width=bin_width)

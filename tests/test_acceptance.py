@@ -33,7 +33,6 @@ from opatomo.experiments import SweepSpec, robustness_sweep, sweep_displacement,
 from opatomo.hist import (
     DensityEstimate,
     QuadratureHistogram,
-    analytic_bins,
     analytic_point_density,
     bin_values,
     fidelity,
@@ -49,7 +48,7 @@ from opatomo.reconstruct import (
 from opatomo.states import PRESETS, SourceState, preset
 from opatomo.streams import derive_seed
 from fold_helpers import fold_histograms
-from state_helpers import gaussian_1d
+from state_helpers import analytic_bins, gaussian_1d
 
 N_SHOTS = 100_000
 REPEATS = 8

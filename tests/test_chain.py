@@ -582,8 +582,24 @@ def test_params_dict_round_trip():
 
 
 def test_from_dict_unknown_detector():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         ChainParams.from_dict({"detector": {"kind": "calorimeter"}})
+    assert err.value.field == "detector"
+
+
+@pytest.mark.parametrize("chain,name,value", [
+    ({"gain": True}, "gain", True),
+    ({"displacement": "17"}, "displacement", "17"),
+    ({"output_noise": None}, "output_noise", None),
+    ({"detector": {"kind": "homodyne", "efficiency": False}}, "efficiency", False),
+    ({"detector": {"kind": "homodyne", "lo_amplitude": [1.0]}}, "lo_amplitude", [1.0]),
+], ids=["bool-gain", "str-displacement", "null-output_noise", "bool-efficiency",
+        "list-lo_amplitude"])
+def test_from_dict_refuses_values_that_are_not_numbers(chain, name, value):
+    with pytest.raises(ConfigError) as err:
+        ChainParams.from_dict(chain)
+    assert err.value.field == "chain"
+    assert str(err.value) == f"chain: {name} must be a number (got {value!r})"
 
 
 @pytest.mark.parametrize("cls,kind,other", [(IntensityDetector, "intensity", "homodyne"),

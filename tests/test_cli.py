@@ -475,6 +475,10 @@ def _rename(key, new):
     pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "gain": "high"}}, "chain:",
                  id="non-numeric-gain"),
     pytest.param(lambda meta: {**meta, "n_shots": None}, "integers", id="null-n_shots"),
+    pytest.param(lambda meta: {**meta, "n_shots": 5.9},
+                 "n_shots and seed must be integers (got 5.9 and 0)", id="fractional-n_shots"),
+    pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "gain": True}},
+                 "chain: gain must be a number (got True)", id="boolean-gain"),
     pytest.param(lambda meta: {**meta, "state": ["sq"]}, "state must be a string",
                  id="state-not-a-string"),
     pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "detector": {
@@ -809,6 +813,9 @@ BAD_RUN_ARGUMENTS = {
     "squeeze-displacement-negative": ("squeeze", ["--m", "3", "--displacement", "-100"],
                                       "displacement"),
     "simulate-seed-negative": ("simulate", ["--seed", "-1"], "seed"),
+    # The detector kind is checked before the settings that only one kind takes.
+    "simulate-detector-unknown-with-homodyne-setting": (
+        "simulate", ["--detector", "foo", "--set", "efficiency=0.5"], "detector"),
     "sweep-seed-negative": ("sweep", ["--kind", "gain", "--grid", "2", "--seed", "-1"], "seed"),
 }
 

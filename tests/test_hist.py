@@ -12,7 +12,6 @@ from opatomo.hist import (
     MAX_BINS,
     DensityEstimate,
     QuadratureHistogram,
-    analytic_bins,
     analytic_point_density,
     bin_values,
     fidelity,
@@ -21,7 +20,7 @@ from opatomo.hist import (
 from opatomo.reconstruct import standard_reconstruct
 from opatomo.states import SourceState, preset
 from opatomo.streams import stream
-from state_helpers import gaussian_1d
+from state_helpers import analytic_bins, gaussian_1d
 
 
 # -- binning -------------------------------------------------------------------

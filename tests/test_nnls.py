@@ -125,6 +125,33 @@ def test_nnls_iteration_cap(monkeypatch):
     assert result.n_iter == 0
 
 
+def test_nnls_optimum_reached_at_the_cap_is_converged(monkeypatch):
+    # Two entering steps meet a cap of two: the optimality test at the top of
+    # the loop still runs once more, and finds no candidate.
+    monkeypatch.setattr(nnls, "MAX_ITER_PER_COLUMN", 1)
+    result = solve_nnls(np.eye(2), np.array([1.0, 1.0]))
+    assert result.converged
+    assert result.n_iter == 2
+    assert result.x.tolist() == [1.0, 1.0]
+
+
+def test_nnls_cap_before_the_optimum_returns_the_last_iterate(monkeypatch):
+    # Column 0 enters first; adding column 1 drives it negative, so it drops
+    # and the re-solve on column 1 alone (x1 = c1 . b = 1.22) is the third
+    # change, which meets a cap of three while column 2 still has to enter.
+    m = np.array([[2.0, 0.6, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([0.7, 1.0, 0.5])
+    full = solve_nnls(m, b)
+    assert full.converged and full.n_iter == 4
+    assert np.allclose(full.x, [0.0, 1.22, 0.5], rtol=0, atol=1e-15)
+    monkeypatch.setattr(nnls, "MAX_ITER_PER_COLUMN", 1)
+    capped = solve_nnls(m, b)
+    assert not capped.converged
+    assert capped.n_iter == 3
+    assert np.allclose(capped.x, [0.0, 1.22, 0.0], rtol=0, atol=1e-15)
+    assert capped.residual == pytest.approx(float(np.linalg.norm(m @ capped.x - b)), rel=1e-12)
+
+
 def test_nnls_result_is_frozen():
     result = solve_nnls(np.eye(1), np.array([1.0]))
     assert isinstance(result, NnlsResult)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opatomo import reconstruct
 from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
@@ -318,6 +319,36 @@ def test_unfold_exact_recovery():
         assert estimate.centers[i] == pytest.approx(v, abs=1e-9)
         assert estimate.masses[i] == pytest.approx(c / counts.sum(), abs=1e-9)
     assert estimate.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def _signed_bin_counts(draw):
+    """Integer counts on the 2*n1 signed bin centres, at least two in each
+    outermost bin, so the |x| fold fixes n1 and the |x + delta*w| fold n1 + delta."""
+    n1 = draw(st.integers(1, 30))
+    counts = np.array(draw(st.lists(st.integers(0, 50), min_size=2 * n1, max_size=2 * n1)))
+    counts[[0, -1]] = np.maximum(counts[[0, -1]], 2)
+    return counts, draw(st.integers(0, 30))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_signed_bin_counts())
+def test_unfold_recovers_noiseless_folds_of_every_shape(case):
+    # delta >= 1 fixes every signed mass; at delta = 0 both folds are |x|, whose
+    # columns come in equal pairs, so only the mirror-pair sums are fixed.
+    counts, delta = case
+    w = 0.1
+    n1 = counts.size // 2
+    x = _spikes((np.arange(2 * n1) - n1 + 0.5) * w, counts)
+    estimate, diag = unfold_fold_samples(*fold_histograms(np.abs(x), np.abs(x + delta * w), w))
+    assert (diag["n1"], diag["n2"], diag["flipped"]) == (n1, n1 + delta, False)
+    assert diag["residual"] <= 1e-12
+    truth = counts / counts.sum()
+    if delta:
+        np.testing.assert_allclose(estimate.masses, truth, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(estimate.masses + estimate.masses[::-1], truth + truth[::-1],
+                                   rtol=0, atol=1e-12)
 
 
 def test_unfold_flips_when_support_is_negative():
