@@ -366,6 +366,8 @@ class BatchFile:
         if type(n_shots) is not int or type(seed) is not int:
             raise ValueError(f"{path}: batch header n_shots and seed must be integers "
                              f"(got {n_shots!r} and {seed!r})")
+        if n_shots < 1:
+            raise ValueError(f"{path}: batch header n_shots must be at least 1 (got {n_shots})")
         return BatchFile(path, ChainParams.from_dict(meta["chain"]), n_shots, seed, state_label)
 
     def blocks(self):
@@ -387,7 +389,7 @@ class BatchFile:
                 finite = finite and bool(np.isfinite(block).all())
                 if finite:
                     yield block
-        if self.n_shots < 1 or count != self.n_shots:
+        if count != self.n_shots:
             raise ValueError(
                 f"{self.path}: header says n_shots = {self.n_shots} but the file holds "
                 f"{count} outcomes"

@@ -28,7 +28,7 @@ __all__ = [
 # component is within this factor of the largest entry of M^T b.
 KKT_RTOL = 1e-8
 
-# The iteration cap is this many active-set changes per column of M.
+# The iteration cap is this many least-squares solves per column of M.
 MAX_ITER_PER_COLUMN = 10
 
 
@@ -38,8 +38,7 @@ class NnlsResult:
 
     ``x`` is the coefficient vector (all entries >= 0), ``residual`` the
     Euclidean norm of ``M x - b``, ``converged`` whether the KKT conditions
-    were met before the iteration cap, and ``n_iter`` the number of
-    active-set changes performed.
+    hold at that ``x``, and ``n_iter`` the number of least-squares solves.
     """
 
     x: np.ndarray
@@ -91,14 +90,15 @@ def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_nnls(matrix, rhs) -> NnlsResult:
     """Non-negative least squares: minimize ||M x - b|| subject to x >= 0.
 
-    Lawson-Hanson active-set iteration.  At the returned point the KKT
-    conditions hold up to ``KKT_RTOL * max|M^T b|``: clamped coordinates
-    have non-negative gradient components, free coordinates have (near)
-    zero ones.  Ties for the entering index break toward the lowest index,
+    Lawson-Hanson active-set iteration, one least-squares solve per pass.
+    ``converged`` says the KKT conditions hold at the returned x up to
+    ``KKT_RTOL * max|M^T b|``: every free coordinate's gradient component
+    is within it of zero, and no clamped coordinate's negative gradient
+    exceeds it.  Ties for the entering index break toward the lowest index,
     which keeps the iteration deterministic across platforms.
 
-    When the iteration cap, ``MAX_ITER_PER_COLUMN * n_columns``, is reached
-    first, the last iterate is returned with ``converged=False``.
+    At the iteration cap, ``MAX_ITER_PER_COLUMN * n_columns`` solves, the
+    last iterate is returned and ``converged`` is decided at it alike.
 
     Each passive-set least-squares solve is ``_lstsq``'s Householder QR.
     """
@@ -111,36 +111,36 @@ def solve_nnls(matrix, rhs) -> NnlsResult:
     tol = KKT_RTOL * float(np.max(np.abs(m.T @ b), initial=0.0))
 
     n_iter = 0
-    while True:
-        # Negative gradient at the current iterate: the only optimality test.
-        w = m.T @ (b - m @ x)
-        candidates = ~passive & (w > tol)
-        if not candidates.any() or n_iter >= max_iter:
-            break
-        # argmax over candidates; numpy returns the first (lowest) index
-        # among ties.
-        scores = np.where(candidates, w, -np.inf)
-        passive[int(np.argmax(scores))] = True
-
-        while n_iter < max_iter:
-            n_iter += 1
-            cols = np.flatnonzero(passive)
-            z = np.zeros(n_cols)
-            z[cols] = _lstsq(m[:, cols], b)
-            if np.all(z[cols] > 0.0):
-                x = z
+    optimal = True  # x is the least-squares point of its passive set
+    while n_iter < max_iter:
+        if optimal:
+            # Negative gradient at x; argmax over the candidates, where numpy
+            # returns the first (lowest) index among ties.
+            w = m.T @ (b - m @ x)
+            candidates = ~passive & (w > tol)
+            if not candidates.any():
                 break
-            # Step toward z only as far as the first coordinate to hit zero,
-            # then drop every coordinate that reached the boundary.
-            blocking = cols[z[cols] <= 0.0]
-            ratios = x[blocking] / (x[blocking] - z[blocking])
-            alpha = float(np.min(ratios))
-            x = x + alpha * (z - x)
-            at_zero = passive & (x <= tol * max(1.0, float(np.max(np.abs(x)))))
-            x[at_zero] = 0.0
-            passive[at_zero] = False
+            passive[int(np.argmax(np.where(candidates, w, -np.inf)))] = True
+        n_iter += 1
+        cols = np.flatnonzero(passive)
+        z = np.zeros(n_cols)
+        z[cols] = _lstsq(m[:, cols], b)
+        optimal = bool(np.all(z[cols] > 0.0))
+        if optimal:
+            x = z
+            continue
+        # Step toward z only as far as the first coordinate to hit zero, then
+        # drop every coordinate that reached the boundary.
+        blocking = cols[z[cols] <= 0.0]
+        alpha = float(np.min(x[blocking] / (x[blocking] - z[blocking])))
+        x = x + alpha * (z - x)
+        at_zero = passive & (x <= tol * max(1.0, float(np.max(np.abs(x)))))
+        x[at_zero] = 0.0
+        passive[at_zero] = False
 
-    converged = not candidates.any()
+    # The one convergence test, at the returned x: the KKT conditions.
     r = m @ x - b
+    w = m.T @ -r
+    converged = not np.any(np.where(passive, np.abs(w), w) > tol)
     residual = math.sqrt(float(r @ r))
     return NnlsResult(x=x, residual=residual, converged=converged, n_iter=n_iter)

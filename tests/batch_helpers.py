@@ -20,7 +20,7 @@ def reference_blocks(path, n_shots: int):
             finite = finite and bool(np.isfinite(block).all())
             if finite:
                 yield block
-    if n_shots < 1 or count != n_shots:
+    if count != n_shots:
         raise ValueError(f"{path}: header says n_shots = {n_shots} but the file holds "
                          f"{count} outcomes")
     if not finite:

@@ -477,6 +477,10 @@ def _rename(key, new):
     pytest.param(lambda meta: {**meta, "n_shots": None}, "integers", id="null-n_shots"),
     pytest.param(lambda meta: {**meta, "n_shots": 5.9},
                  "n_shots and seed must be integers (got 5.9 and 0)", id="fractional-n_shots"),
+    pytest.param(lambda meta: {**meta, "n_shots": 0}, "n_shots must be at least 1 (got 0)",
+                 id="zero-n_shots"),
+    pytest.param(lambda meta: {**meta, "n_shots": -5}, "n_shots must be at least 1 (got -5)",
+                 id="negative-n_shots"),
     pytest.param(lambda meta: {**meta, "chain": {**meta["chain"], "gain": True}},
                  "chain: gain must be a number (got True)", id="boolean-gain"),
     pytest.param(lambda meta: {**meta, "state": ["sq"]}, "state must be a string",
@@ -514,6 +518,9 @@ _BAD_LAST_ROW = lambda rows: [*rows[:-1], "x"]  # noqa: E731
 MULTI_FAULTS = {
     "header-before-rows": ([(_SQ_100, _LACKS_SEED, _BAD_LAST_ROW)], "displaced", [],
                            "lacks seed"),
+    "shot-count-before-rows": (
+        [(_SQ_100, lambda meta: {**meta, "n_shots": 0}, _BAD_LAST_ROW)], "displaced", [],
+        "n_shots must be at least 1 (got 0)"),
     "unknown-state-before-rows": (
         [(_SQ_100, lambda meta: {**meta, "state": "squeezed"}, _BAD_LAST_ROW)], "displaced", [],
         "state: unknown preset 'squeezed'; known: vac,"),

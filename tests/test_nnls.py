@@ -180,6 +180,63 @@ def test_nnls_solution_nonnegative_and_converges(cols, rows, seed):
     assert result.converged
 
 
+def kkt_holds(m: np.ndarray, b: np.ndarray, x: np.ndarray) -> bool:
+    """Whether every free coordinate's gradient is within the KKT tolerance
+    of zero and no clamped coordinate's negative gradient exceeds it."""
+    tol = KKT_RTOL * float(np.max(np.abs(m.T @ b), initial=0.0))
+    w = m.T @ (b - m @ x)
+    free = x > 0.0
+    return bool(np.all(np.abs(w[free]) <= tol) and np.all(w[~free] <= tol))
+
+
+def seeded_system(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dense Gaussian, a small-integer or a stacked fold system, drawn from
+    ``seed``; the fold system's right-hand side has entries of either sign."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        rows, cols = rng.integers(1, 13), rng.integers(1, 9)
+        return rng.normal(size=(rows, cols)), rng.normal(size=rows)
+    if kind == "integer":
+        rows, cols = rng.integers(1, 9), rng.integers(1, 7)
+        return (rng.integers(-3, 4, size=(rows, cols)).astype(float),
+                rng.integers(-3, 4, size=rows).astype(float))
+    m = np.vstack(build_fold_matrices(n1 := int(rng.integers(1, 31)),
+                                      n1 + int(rng.integers(0, 31))))
+    return m, rng.random(m.shape[0]) - 0.2 * rng.random()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["dense", "integer", "fold"]), st.sampled_from([1, 2, 10]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+# Capped solves whose last step leaves a free coordinate's gradient above
+# the tolerance.
+@example(kind="dense", per_column=1, seed=236)
+@example(kind="integer", per_column=1, seed=494)
+@example(kind="fold", per_column=1, seed=15812)
+def test_nnls_converged_exactly_when_kkt_holds_at_the_returned_x(kind, per_column, seed):
+    m, b = seeded_system(kind, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnls, "MAX_ITER_PER_COLUMN", per_column)
+        result = solve_nnls(m, b)
+    assert np.all(result.x >= 0.0)
+    assert result.converged == kkt_holds(m, b, result.x)
+
+
+def test_nnls_capped_iterate_off_its_optimum_is_not_converged(monkeypatch):
+    # Adding column 1 drives column 0 negative, so the second solve steps to
+    # x = (0, 1.1667) and drops column 0; that meets a cap of two before the
+    # re-solve on column 1 alone, so x is not optimal (x1 = 1.25 is).
+    monkeypatch.setattr(nnls, "MAX_ITER_PER_COLUMN", 1)
+    m = np.array([[2.0, 0.6], [0.0, 0.8]])
+    b = np.array([0.7, 1.0])
+    result = solve_nnls(m, b)
+    assert result.n_iter == 2
+    assert np.allclose(result.x, [0.0, 7 / 6], rtol=0, atol=1e-15)
+    assert result.residual == pytest.approx(1 / 15, rel=1e-12)
+    assert not result.converged
+    assert not kkt_holds(m, b, result.x)
+
+
 # -- the QR least-squares helper against LAPACK ----------------------------------
 
 def lapack_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -351,6 +351,49 @@ def test_unfold_recovers_noiseless_folds_of_every_shape(case):
                                    rtol=0, atol=1e-12)
 
 
+def _column_components(n_cols: int, links: list[tuple[int, int]]) -> list[list[int]]:
+    """The connected components of the graph on ``n_cols`` columns whose
+    edges are ``links``."""
+    parent = list(range(n_cols))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        parent[root(i)] = root(j)
+    groups = {}
+    for i in range(n_cols):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def test_fold_system_is_an_incidence_matrix_of_paths():
+    # Each column holds the |x| bin and the |x + delta*w| bin of one signed bin,
+    # and each row at most two columns, so linking the two columns of each
+    # full row gives a graph of paths: min(delta, n1) of them for delta >= 1,
+    # and n1 pairs of equal columns at delta = 0.
+    for n1 in range(1, 31):
+        for delta in range(31):
+            m = np.vstack(build_fold_matrices(n1, n1 + delta))
+            assert np.isin(m, (0.0, 1.0)).all()
+            assert (m.sum(axis=0) == 2).all() and (m.sum(axis=1) <= 2).all()
+            links = [tuple(np.flatnonzero(row)) for row in m if row.sum() == 2]
+            components = _column_components(2 * n1, links)
+            if delta == 0:
+                assert len(components) == n1
+                assert all(len(c) == 2 and np.array_equal(m[:, c[0]], m[:, c[1]])
+                           for c in components)
+                continue
+            assert len(components) == min(delta, n1), (n1, delta)
+            # Connected, one link fewer than columns and no column on three
+            # links: each component is a path.
+            assert np.bincount(np.ravel(links), minlength=2 * n1).max() <= 2
+            for c in components:
+                assert sum(i in c for i, _ in links) == len(c) - 1, (n1, delta)
+
+
 def test_unfold_flips_when_support_is_negative():
     w = 0.1
     values = np.array([-1.15, -0.95, -0.55, -0.25])
