@@ -39,6 +39,7 @@ __all__ = [
     "ChainParams",
     "ShotBatch",
     "BatchFile",
+    "write_output",
     "intensity_shot",
     "homodyne_shot",
     "run_batch",
@@ -315,30 +316,17 @@ class BatchFile:
     state_label: str = ""
 
     def write(self, blocks) -> None:
-        """Write the header, then each block of outcomes as it comes.
-
-        The rows go to a sibling file that replaces ``path`` only once the
-        last block is written; on any exception it is removed, so ``path`` is
-        never left holding part of a batch.
-        """
+        """Write the header, then each block of outcomes as it comes, through
+        ``write_output``, so ``path`` is never left holding part of a batch."""
         header = {
             "chain": self.params.to_dict(),
             "seed": self.seed,
             "n_shots": self.n_shots,
             "state": self.state_label,
         }
-        partial = f"{self.path}.partial"
-        try:
-            with open(partial, "wb") as fh:
-                fh.write(("# " + json.dumps(header, sort_keys=True) + "\noutcome\n").encode())
-                for block in blocks:
-                    if block.size:
-                        fh.write(_render_rows(block))
-            os.replace(partial, self.path)
-        except BaseException:
-            if os.path.exists(partial):
-                os.remove(partial)
-            raise
+        write_output(self.path, chain(
+            [("# " + json.dumps(header, sort_keys=True) + "\noutcome\n").encode()],
+            (_render_rows(block) for block in blocks if block.size)))
 
     @staticmethod
     def read_header(path) -> "BatchFile":
@@ -418,6 +406,29 @@ def _render_rows(block: np.ndarray) -> bytes:
     for i in other.tolist():
         rows[i] = repr(float(block[i])).encode()
     return b"\n".join(rows) + b"\n"
+
+
+def write_output(path, pieces) -> None:
+    """Write the byte strings ``pieces`` to ``path``, whole or not at all.
+
+    The parent directory is made if it is missing.  The pieces go to
+    ``<path>.partial`` one at a time, and that file replaces ``path`` only
+    once the last piece is written; on any exception it is removed, so
+    ``path`` keeps its previous version.  Every file the package writes goes
+    through here.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            # writelines drops each piece once written, before the next is
+            # made; a loop variable would hold one rendered block too many.
+            fh.writelines(pieces)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 @contextmanager

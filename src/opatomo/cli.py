@@ -31,6 +31,7 @@ from .chain import (
     batch_chunks,
     run_batch,  # noqa: F401  (uncalled; bench/tracer.py wraps this binding)
     utf8_text,
+    write_output,
 )
 from .experiments import (
     DEFAULT_DISPLACEMENT_GRID,
@@ -182,13 +183,11 @@ def _stem(config: RunConfig) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_config(args, _SIMULATE_REFUSES)
     state = preset(config.state)
-    os.makedirs(config.out_dir, exist_ok=True)
     stem = os.path.join(config.out_dir, _stem(config))
     # Each chunk is written as it is drawn; the file appears once it is whole.
     BatchFile(stem + ".csv", config.params, config.n_shots, config.seed, state.label).write(
         batch_chunks(state, config.params, config.n_shots, config.seed))
-    with open(stem + ".json", "w") as fh:
-        fh.write(config.to_json() + "\n")
+    write_output(stem + ".json", [(config.to_json() + "\n").encode()])
     print(stem + ".csv")
     return EXIT_OK
 
@@ -234,7 +233,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             check_positivity(batch, fraction)
     f = fidelity(estimate, state)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.splitext(os.path.basename(args.batch))[0]
     stem = os.path.join(config.out_dir, f"recon_{config.method}_{base}")
     estimate.to_csv(stem + ".csv")
@@ -246,8 +244,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "infidelity": 1.0 - f,
     }
     report.update({f"diag_{k}": v for k, v in diag.items()})
-    with open(stem + ".json", "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_output(stem + ".json", [(json.dumps(report, sort_keys=True, indent=2) + "\n").encode()])
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 

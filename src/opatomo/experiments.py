@@ -36,6 +36,7 @@ from .chain import (
     chunk_sizes,
     draw_chunk,
     run_batch,  # noqa: F401  (uncalled; bench/tracer.py wraps this binding)
+    write_output,
 )
 from .distill import (
     DistillError,
@@ -183,7 +184,6 @@ class SweepResult:
         Floats are rendered with repr so re-running the same spec yields
         byte-identical files.
         """
-        os.makedirs(out_dir, exist_ok=True)
         stem = self.spec.file_stem()
         csv_path = os.path.join(out_dir, stem + ".csv")
         json_path = os.path.join(out_dir, stem + ".json")
@@ -194,17 +194,9 @@ class SweepResult:
                 f"{row.param_value!r},{row.method},{row.mean_infidelity!r},"
                 f'{row.std_infidelity!r},"{aux.replace(chr(34), chr(34) * 2)}"'
             )
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(json_path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {"spec": json.loads(self.spec.canonical_json()), "summary": self.summary},
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n"
-            )
+        write_output(csv_path, [("\n".join(lines) + "\n").encode()])
+        report = {"spec": json.loads(self.spec.canonical_json()), "summary": self.summary}
+        write_output(json_path, [(json.dumps(report, sort_keys=True, indent=2) + "\n").encode()])
         return csv_path, json_path
 
 

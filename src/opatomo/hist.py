@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .chain import write_output
 from .states import SourceState
 
 __all__ = [
@@ -109,10 +110,8 @@ class QuadratureHistogram:
         return self.counts / self.n_total
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("bin_center,relative_frequency\n")
-            for c, m in zip(self.centers, self.masses):
-                fh.write(f"{c!r},{m!r}\n")
+        rows = "".join(f"{c!r},{m!r}\n" for c, m in zip(self.centers, self.masses))
+        write_output(path, [("bin_center,relative_frequency\n" + rows).encode()])
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,8 @@ class DensityEstimate:
         return self.masses / self.bin_width
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("bin_center,estimated_density\n")
-            for c, d in zip(self.centers, self.densities):
-                fh.write(f"{c!r},{d!r}\n")
+        rows = "".join(f"{c!r},{d!r}\n" for c, d in zip(self.centers, self.densities))
+        write_output(path, [("bin_center,estimated_density\n" + rows).encode()])
 
 
 def bin_values(values, bin_width: float, lo: float, hi: float) -> QuadratureHistogram:

@@ -3,6 +3,7 @@ from decimal import Decimal
 import json
 import math
 from dataclasses import asdict, fields, replace
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -26,6 +27,7 @@ from opatomo.chain import (
     homodyne_shot,
     intensity_shot,
     run_batch,
+    write_output,
 )
 from opatomo.states import preset
 from opatomo.streams import stream
@@ -367,6 +369,26 @@ _RENDER_EDGES = st.one_of(
     st.floats(),
 )
 _SIGNED = st.builds(lambda v, negate: -v if negate else v, _RENDER_EDGES, st.booleans())
+
+
+def test_write_output_frees_each_piece_before_the_next(tmp_path):
+    # simulate streams one rendered block per piece; it holds one block's
+    # text at a time only if the writer drops each piece once written.
+    size = 1 << 20
+    held = []
+
+    def pieces():
+        for _ in range(3):
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield bytes(size)
+
+    tracemalloc.start()
+    try:
+        write_output(tmp_path / "out.bin", pieces())
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out.bin").stat().st_size == 3 * size
+    assert max(held) - held[0] < size // 2, [h - held[0] for h in held]
 
 
 def _written_rows(path, blocks) -> list[str]:

@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import errno
 import hashlib
 import json
 import os
@@ -937,6 +939,67 @@ def test_a_simulate_that_fails_midway_leaves_no_batch_file(capsys, tmp_path, mon
     monkeypatch.undo()
     simulate(capsys, tmp_path, "--n-shots", str(3 * BATCH_CHUNK))
     assert sorted(os.listdir(tmp_path)) == ["batch_sq_0.csv", "batch_sq_0.json"]
+
+
+# Each command, run into an empty directory, with the batches it reads.
+FAILED_WRITES = {
+    "simulate": ["simulate", "--state", "sq", "--displacement", "100", "--n-shots", "300"],
+    "reconstruct-displaced": ["reconstruct", "--batch", "{sq}", "--method", "displaced"],
+    "reconstruct-double": ["reconstruct", "--batch", "{mix0}", "--batch2", "{mix1}",
+                           "--method", "double", "--bin-width", "0.2"],
+    "sweep": ["sweep", "--kind", "displacement", "--grid", "10,100", "--repeats", "1",
+              "--n-shots", "300"],
+    "squeeze": ["squeeze", "--m", "3", "--repeats", "1", "--n-shots", "300"],
+}
+FAILED_WRITE_BATCHES = {
+    "sq": ["--state", "sq", "--displacement", "100", "--seed", "0"],
+    "mix0": ["--state", "mix", "--displacement", "33", "--seed", "0"],
+    "mix1": ["--state", "mix", "--displacement", "66", "--seed", "1"],
+}
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk:
+    """A file opened for writing on a full disk: it exists, and every write
+    to it fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(*NO_SPACE.args)
+
+    writelines = write
+
+
+@pytest.mark.parametrize("command", list(FAILED_WRITES))
+def test_a_failed_write_keeps_the_last_good_output(capsys, tmp_path, monkeypatch, command):
+    batches = {name: simulate(capsys, tmp_path / name, *flags, "--n-shots", "300")
+               for name, flags in FAILED_WRITE_BATCHES.items()}
+    out = tmp_path / "out"
+    argv = [arg.format(**batches) for arg in FAILED_WRITES[command]] + ["--out-dir", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if set(mode) & set("wax+") else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+    code, _, err = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    assert (code, err) == (EXIT_CONFIG, f"error: {NO_SPACE}\n")
+    assert not list(out.glob("*.partial"))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_reconstruct_overflowing_header_gain_exits_with_config_error(capsys, tmp_path):

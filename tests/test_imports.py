@@ -129,3 +129,81 @@ def test_the_check_sees_every_way_to_read_linalg(tmp_path):
                       "from numpy.linalg import lstsq\n"
                       "y = linalg\n")
     assert _linalg_reads(module) == [f"probe.py:{line}" for line in (3, 4, 5, 6, 7)]
+
+
+_OS_WRITES = {"replace", "remove", "makedirs", "mkdir"}
+_PATH_WRITES = {"write_text", "write_bytes", "mkdir"}
+
+
+def _file_writes(path: Path) -> list[str]:
+    """Each call in the module at ``path`` that writes, replaces, removes or
+    makes a file or directory outside ``chain.write_output``: ``open`` with a
+    mode that writes, appends or creates (or a mode that is not a literal),
+    ``os.replace``, ``os.remove``, ``os.makedirs`` or ``os.mkdir`` (called
+    through ``os`` or imported from it), and a ``Path.write_*`` or
+    ``Path.mkdir`` method."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if path.stem == "chain" and isinstance(top, ast.FunctionDef) and top.name == "write_output":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                writes = any(alias.name in _OS_WRITES for alias in node.names)
+            elif not isinstance(node, ast.Call):
+                continue
+            elif isinstance(node.func, ast.Name) and node.func.id == "open":
+                modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                mode = modes[0] if modes else ast.Constant("r")
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not set(mode.value) & set("wax+"))
+            elif isinstance(node.func, ast.Attribute):
+                on_os = isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                writes = node.func.attr in (_OS_WRITES if on_os else _PATH_WRITES)
+            else:
+                continue
+            if writes:
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{path.name}:{line}: {text}" for line, _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_file_is_written_by_write_output(path):
+    assert _file_writes(path) == []
+
+
+def test_the_check_sees_every_way_to_write_a_file(tmp_path):
+    module = tmp_path / "chain.py"
+    module.write_text('"""open(p, "w") in a docstring is no call."""\n'
+                      "import os\n"
+                      "from os import makedirs, path\n"
+                      "from pathlib import Path\n"
+                      "def write_output(p):\n"
+                      "    os.makedirs(p)\n"
+                      "    with open(p, 'wb') as fh:\n"
+                      "        fh.write(b'')\n"
+                      "    os.replace(p, p)\n"
+                      "def other(p, mode):\n"
+                      "    open(p, 'w'), open(p, mode='a'), open(p, 'xb'), open(p, 'r+')\n"
+                      "    open(p, mode)\n"
+                      "    open(p), open(p, 'rb'), open(p, encoding='utf-8')\n"
+                      "    os.replace(p, p), os.remove(p), os.makedirs(p), os.mkdir(p)\n"
+                      "    Path(p).write_text(''), p.write_bytes(b''), p.mkdir()\n"
+                      "    p.replace('a', 'b'), p.write(''), write_output(p), makedirs\n")
+    assert _file_writes(module) == [
+        "chain.py:3: from os import makedirs, path",
+        "chain.py:11: open(p, 'w')",
+        "chain.py:11: open(p, mode='a')",
+        "chain.py:11: open(p, 'xb')",
+        "chain.py:11: open(p, 'r+')",
+        "chain.py:12: open(p, mode)",
+        "chain.py:14: os.replace(p, p)",
+        "chain.py:14: os.remove(p)",
+        "chain.py:14: os.makedirs(p)",
+        "chain.py:14: os.mkdir(p)",
+        "chain.py:15: Path(p).write_text('')",
+        "chain.py:15: p.write_bytes(b'')",
+        "chain.py:15: p.mkdir()",
+    ]
+    # The same writer in any other module is a second write path.
+    other = module.rename(tmp_path / "hist.py")
+    assert "hist.py:7: open(p, 'wb')" in _file_writes(other)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from opatomo import reconstruct
 from opatomo.chain import ChainParams, ConfigError, HomodyneDetector, IntensityDetector, run_batch
 from opatomo.hist import bin_values, fidelity
+from opatomo.nnls import solve_nnls
 from opatomo.reconstruct import (
     METHODS,
     POSITIVITY_THRESHOLD,
@@ -29,7 +30,7 @@ from opatomo.reconstruct import (
     unfold_fold_samples,
 )
 from opatomo.states import SourceState, preset
-from fold_helpers import fold_histograms
+from fold_helpers import fold_histograms, split_fold_system
 from state_helpers import gaussian_1d
 
 
@@ -392,6 +393,34 @@ def test_fold_system_is_an_incidence_matrix_of_paths():
             assert np.bincount(np.ravel(links), minlength=2 * n1).max() <= 2
             for c in components:
                 assert sum(i in c for i, _ in links) == len(c) - 1, (n1, delta)
+
+
+@st.composite
+def _fold_systems(draw):
+    """A fold-system shape (n1, delta) and a non-negative right-hand side."""
+    n1, delta = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    rows = 2 * n1 + delta
+    rhs = draw(st.lists(st.floats(0.0, 100.0), min_size=rows, max_size=rows))
+    return n1, delta, np.array(rhs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fold_systems())
+def test_fold_system_solves_component_by_component(case):
+    # No row spans two components, so the NNLS solve splits into one solve
+    # per component; a row with no entries adds its b^2 to the residual.  A
+    # consistent system's residual is rounding noise, so the gap is also
+    # allowed 1e-12 of |b|.
+    n1, delta, b = case
+    matrix, parts = split_fold_system(n1, delta)
+    assert np.array_equal(np.sort(np.concatenate([c for _, c in parts])), np.arange(2 * n1))
+    held = np.bincount(np.concatenate([r for r, _ in parts]), minlength=matrix.shape[0])
+    assert held.max() <= 1, (n1, delta)
+    assert np.array_equal(held.astype(bool), matrix.any(axis=1))
+    squares = [solve_nnls(matrix[np.ix_(r, c)], b[r]).residual ** 2 for r, c in parts]
+    split = math.sqrt(sum(squares) + float(b[held == 0] @ b[held == 0]))
+    assert math.isclose(split, solve_nnls(matrix, b).residual, rel_tol=1e-12,
+                        abs_tol=1e-12 * math.sqrt(b @ b)), (n1, delta)
 
 
 def test_unfold_flips_when_support_is_negative():
